@@ -3,9 +3,13 @@
 ``A`` is symmetric positive definite, ``B`` symmetric positive semidefinite
 with a large kernel (only boundary dofs couple), so the small eigenvalues of
 the pencil are the reciprocals of the large eigenvalues of ``A^{-1} B``.
-The iterative solver runs blocked inverse subspace iteration on that operator
-with A-orthonormalized bases; the kernel of ``B`` corresponds to ``mu = 0``
-and never mixes into the dominant block, so no deflation is needed.
+The iterative solver finds that dominant subspace with implicitly restarted
+Lanczos (ARPACK, see Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM
+1998) on ``A^{-1} B`` in the ``A`` inner product, then polishes it with
+Rayleigh-Ritz sweeps of inverse subspace iteration until every residual meets
+the tolerance.  Both stages apply ``A^{-1}`` through one cached sparse
+factorization.  The kernel of ``B`` corresponds to ``mu = 0`` and never mixes
+into the dominant subspace, so no deflation is needed.
 """
 
 from __future__ import annotations
@@ -106,7 +110,6 @@ class SpdFactor:
             raise NotPositiveDefiniteError(str(exc)) from exc
         if not (lu.perm_r == lu.perm_c).all() or not (lu.U.diagonal() > 0.0).all():
             raise NotPositiveDefiniteError("matrix is not positive definite")
-        self.matrix = matrix
         self._lu = lu
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -136,14 +139,42 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def _start_block(factor: SpdFactor, a_csr: sp.csr_matrix, b_csr: sp.csr_matrix, k: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Start block of the sweeps: the ``k`` dominant eigenvectors of ``A^{-1} B``.
+
+    Lanczos (``eigsh``) on ``B x = mu A x`` in the ``A`` inner product,
+    applying ``A^{-1}`` through ``factor.solve``; its start vector and any
+    restart vector come from ``rng``, so the block is deterministic.  For
+    ``k >= n - 1`` the Lanczos basis would span the whole space, so the block
+    is a full Gaussian one, which the first sweep resolves exactly.  If
+    Lanczos stops short, the vectors it did converge are kept and filled up
+    with Gaussian columns to ``k + 3``: the sweeps are then plain subspace
+    iteration, and the three guard columns keep it converging when
+    ``lambda_k`` and ``lambda_{k+1}`` are close.
+    """
+    n = a_csr.shape[0]
+    if k >= n - 1:
+        return rng.standard_normal((n, n))
+    a_inv = spla.LinearOperator((n, n), matvec=factor.solve, dtype=float)
+    try:
+        return spla.eigsh(b_csr, k, M=a_csr, Minv=a_inv, which="LA",
+                          v0=rng.standard_normal(n), rng=rng)[1]
+    except spla.ArpackNoConvergence as exc:
+        found = exc.eigenvectors
+    return np.hstack([found, rng.standard_normal((n, min(k + 3, n) - found.shape[1]))])
+
+
 def solve_pencil(pencil: Pencil, k: int, tol: float = DEFAULT_TOL,
                  seed: int = DEFAULT_SEED, max_sweeps: int = MAX_SWEEPS) -> EigenSolution:
     """Compute the ``k`` smallest eigenpairs of ``A u = lambda B u``.
 
-    Blocked inverse subspace iteration with block size ``k + 3``, started
-    from a fixed-seed Gaussian block, so results are deterministic for fixed
-    inputs.  Convergence requires every requested pair to reach the relative
-    residual tolerance.
+    Lanczos on ``A^{-1} B``, started from a fixed-seed Gaussian vector,
+    gives a block of ``k`` vectors; Rayleigh-Ritz sweeps of inverse subspace
+    iteration on that block then run until every requested pair reaches the
+    relative residual tolerance.  At least one sweep always runs, since raw
+    Lanczos vectors can miss a tolerance near round-off.  Results are
+    deterministic for fixed inputs and seed.
 
     Raises
     ------
@@ -161,9 +192,7 @@ def solve_pencil(pencil: Pencil, k: int, tol: float = DEFAULT_TOL,
     a_csr = pencil.a.to_csr()
     b_csr = pencil.b.to_csr()
 
-    m = min(k + 3, n)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, m))
+    x = _start_block(factor, a_csr, b_csr, k, np.random.default_rng(seed))
 
     eigenvalues = np.full(k, np.nan)
     vectors = np.zeros((n, k))

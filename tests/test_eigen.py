@@ -1,5 +1,9 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from steklovfem import (
     CR,
@@ -8,6 +12,8 @@ from steklovfem import (
     P1,
     Pencil,
     SymSparse,
+    assemble_boundary_mass,
+    assemble_stiffness,
     constant_coefficients,
     dense_oracle,
     factorize_spd,
@@ -49,6 +55,20 @@ class TestSolveSpd:
     def test_factor_is_cached(self):
         m = diag_sparse([1.0, 2.0, 3.0])
         assert factorize_spd(m) is factorize_spd(m)
+
+    def test_factor_dies_with_its_matrix(self):
+        # No reference cycle: the factor is freed without the cyclic collector.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            m = diag_sparse([1.0, 2.0, 3.0])
+            factor = weakref.ref(factorize_spd(m))
+            assert factor() is not None
+            del m
+            assert factor() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -116,6 +136,20 @@ class TestSolvePencilSmall:
         with pytest.raises(ValueError, match="fewer than k"):
             dense_oracle(pencil, 40)
 
+    @pytest.mark.parametrize("k", (3, 4))
+    def test_too_small_for_lanczos(self, k):
+        # k >= n - 1 skips ARPACK and starts from a full Gaussian block.
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((4, 4))
+        pencil = Pencil(dense_spd_sparse(m.T @ m + np.eye(4)),
+                        dense_spd_sparse(np.diag([1.0, 2.0, 0.5, 1.5])))
+        sol = solve_pencil(pencil, k)
+        ref = dense_oracle(pencil, k)
+        assert sol.eigenvalues == pytest.approx(ref.eigenvalues, rel=1e-12)
+        gram = sol.eigenvectors.T @ (pencil.b @ sol.eigenvectors)
+        assert gram == pytest.approx(np.eye(k), abs=1e-12)
+        assert (sol.residual_norms <= DEFAULT_TOL).all()
+
     def test_dense_oracle_dimension_cap(self):
         big = diag_sparse(np.ones(DENSE_ORACLE_MAX_DIM + 1))
         with pytest.raises(ValueError, match="dense oracle"):
@@ -148,6 +182,41 @@ class TestSolvePencilFem:
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
+    def test_factor_solve_work_bound(self, get_mesh, get_dofmap, monkeypatch):
+        # Lanczos plus the polishing sweep: about 53 solve columns here, where
+        # inverse iteration with a k + 3 block needed 506.
+        mesh, dm = get_mesh("slit", 32), get_dofmap("slit", 32, CR)
+        pencil = Pencil(assemble_stiffness(mesh, dm), assemble_boundary_mass(mesh, dm))
+        assert pencil.dimension == 3152
+        factor = factorize_spd(pencil.a)
+        solve, columns = factor.solve, []
+
+        def counted(rhs):
+            columns.append(1 if rhs.ndim == 1 else rhs.shape[1])
+            return solve(rhs)
+
+        monkeypatch.setattr(factor, "solve", counted)
+        sol = solve_pencil(pencil, 8)
+        assert (sol.residual_norms <= DEFAULT_TOL).all()
+        assert sum(columns) <= 120
+
+    @pytest.mark.parametrize("converged", (0, 2))
+    def test_lanczos_no_convergence_falls_back_to_sweeps(self, get_pencil, monkeypatch,
+                                                         converged):
+        pencil = get_pencil("lshape", 8, P1)
+        eigsh, calls = spla.eigsh, []
+
+        def stalled(*args, **kwargs):
+            calls.append(1)
+            mu, x = eigsh(*args, **kwargs)
+            raise spla.ArpackNoConvergence("stalled", mu[:converged], x[:, :converged])
+
+        monkeypatch.setattr(spla, "eigsh", stalled)
+        sol = solve_pencil(pencil, 4)
+        assert calls == [1]
+        assert sol.eigenvalues == pytest.approx(dense_oracle(pencil, 4).eigenvalues, rel=1e-9)
+        assert (sol.residual_norms <= DEFAULT_TOL).all()
+
     def test_matches_dense_oracle(self, get_pencil):
         pencil = get_pencil("square", 4, CR)
         sol = solve_pencil(pencil, 4)
@@ -163,8 +232,6 @@ class TestSolvePencilFem:
         assert abs(ip) == pytest.approx(1.0, abs=1e-9)
 
     def test_joint_coefficient_scaling(self, get_mesh, get_dofmap):
-        from steklovfem import assemble_boundary_mass, assemble_stiffness
-
         mesh = get_mesh("lshape", 4)
         dm = get_dofmap("lshape", 4, P1)
         b = assemble_boundary_mass(mesh, dm)
@@ -176,8 +243,6 @@ class TestSolvePencilFem:
 
     @pytest.mark.parametrize("kind", ("square", "lshape", "slit"))
     def test_reaction_shift_increases_eigenvalues(self, get_mesh, get_dofmap, kind):
-        from steklovfem import assemble_boundary_mass, assemble_stiffness
-
         mesh = get_mesh(kind, 4)
         dm = get_dofmap(kind, 4, P1)
         b = assemble_boundary_mass(mesh, dm)
