@@ -14,24 +14,21 @@ exponent of the domain.
 """
 
 from .mesh import (DomainSpec, InvalidLevelError, Mesh, Refinement,
-                   boundary_arclength_order, edge_slit_sides, generate_mesh,
-                   refine, write_mesh)
+                   edge_slit_sides, generate_mesh, refine, write_mesh)
 from .fem import (CR, CoefficientField, DofMap, InvalidCoefficientError, P1,
                   SymSparse, UNIT_COEFFICIENTS, affine, assemble_boundary_mass,
                   assemble_stiffness, build_dof_map, constant_coefficients,
-                  evaluate_fe, write_matrix)
+                  write_matrix)
 from .eigen import (ConvergenceFailureError, EigenSolution,
                     NotPositiveDefiniteError, Pencil, SpdFactor, dense_oracle,
-                    factorize_spd, solve_pencil, solve_spd)
-from .interp import (PointFunction, as_point_function,
-                     interpolate_boundary_constant, interpolate_cr,
+                    factorize_spd, solve_pencil)
+from .interp import (PointFunction, as_point_function, interpolate_cr,
                      interpolate_p1, singular_model)
 from .analysis import (AmbiguousAlignmentError, ConvergenceRow,
                        ConvergenceTable, FeFunction, NestingError,
                        ReferenceSolution, ReferenceSpec, TransferredTrace,
                        UndefinedRatioError, align_sign, boundary_l2_error,
-                       boundary_l2_norm, broken_h1_norm, compute_reference,
-                       convergence_ratio, run_convergence_study,
-                       transfer_reference)
+                       compute_reference, convergence_ratio,
+                       run_convergence_study, transfer_reference)
 
 __version__ = "0.1.0"

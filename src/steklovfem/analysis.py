@@ -17,10 +17,10 @@ import numpy as np
 
 from . import fem
 from .eigen import DEFAULT_SEED, DEFAULT_TOL, Pencil, solve_pencil
-from .fem import (CR, P1, CoefficientField, DofMap, UNIT_COEFFICIENTS,
+from .fem import (P1, CoefficientField, DofMap, UNIT_COEFFICIENTS,
                   assemble_boundary_mass, assemble_stiffness, build_dof_map,
                   evaluate_fe_many)
-from .interp import PointFunction, as_point_function
+from .interp import as_point_function
 from .mesh import (DomainSpec, Mesh, Refinement, edge_slit_sides,
                    generate_mesh, refine)
 
@@ -35,8 +35,6 @@ __all__ = [
     "NestingError",
     "UndefinedRatioError",
     "REFERENCE_INTERVALS",
-    "boundary_l2_norm",
-    "broken_h1_norm",
     "align_sign",
     "transfer_reference",
     "boundary_l2_error",
@@ -106,42 +104,6 @@ def _trace_values(f: FeFunction, tris, bary) -> np.ndarray:
     return evaluate_fe_many(f.values, f.dofmap, tris, bary)
 
 
-def boundary_l2_norm(f, mesh: Mesh | None = None) -> float:
-    """The L2 norm over the boundary, by edge-wise two-point Gauss quadrature.
-
-    ``f`` may be an :class:`FeFunction` (its own mesh is used) or a point
-    function together with an explicit ``mesh``.
-    """
-    if isinstance(f, FeFunction):
-        tris, bary, weights, _, _ = _boundary_gauss(f.mesh)
-        vals = _trace_values(f, tris[:, None], bary)
-    else:
-        if mesh is None:
-            raise ValueError("a mesh is required to integrate a point function")
-        _, _, weights, points, side = _boundary_gauss(mesh)
-        pf = as_point_function(f)
-        vals = pf(points[..., 0], points[..., 1], side[:, None])
-    return float(math.sqrt((weights * vals**2).sum()))
-
-
-def broken_h1_norm(f: FeFunction) -> float:
-    """The broken H1 norm: elementwise gradients plus the L2 part.
-
-    For the conforming P1 family this is the usual H1 norm; for
-    Crouzeix-Raviart the gradient is taken triangle by triangle.
-    """
-    corners, area, grads = fem._geometry(f.mesh)
-    if f.dofmap.family == CR:
-        grads = -2.0 * grads
-    coef = f.values[f.dofmap.cell_dofs]
-    grad = np.einsum("ta,tad->td", coef, grads)
-    semi = (area * (grad**2).sum(axis=1)).sum()
-    basis = fem._basis_at_bary(fem.TRIANGLE_QUADRATURE_BARY, f.dofmap.family)
-    at_quad = coef @ basis.T
-    mass = ((area[:, None] / 3.0) * at_quad**2).sum()
-    return float(math.sqrt(semi + mass))
-
-
 @dataclass
 class TransferredTrace:
     """A fine-mesh function viewed from a coarse mesh through nesting.
@@ -178,26 +140,15 @@ class TransferredTrace:
         return self.chain[0].coarse if self.chain else self.fn.mesh
 
 
-def transfer_reference(fn: FeFunction, chain: Sequence[Refinement],
-                       coarse_mesh: Mesh | None = None) -> TransferredTrace:
+def transfer_reference(fn: FeFunction, chain: Sequence[Refinement]) -> TransferredTrace:
     """Attach a refinement chain to a fine reference function.
-
-    If ``coarse_mesh`` is given it must be the coarse end of the chain.
 
     Raises
     ------
     NestingError
-        If the chain links do not connect, do not end at the mesh of ``fn``,
-        or do not start at ``coarse_mesh``.
+        If the chain links do not connect or do not end at the mesh of ``fn``.
     """
-    trace = TransferredTrace(fn=fn, chain=tuple(chain))
-    if coarse_mesh is not None:
-        got = trace.coarse_mesh
-        if got.level != coarse_mesh.level or got.domain.kind != coarse_mesh.domain.kind:
-            raise NestingError(
-                f"chain starts at {got.domain.kind} level {got.level}, not "
-                f"{coarse_mesh.domain.kind} level {coarse_mesh.level}")
-    return trace
+    return TransferredTrace(fn=fn, chain=tuple(chain))
 
 
 def _bary_in_triangles(mesh: Mesh, tris: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .analysis import ReferenceSpec, run_convergence_study
@@ -109,29 +110,25 @@ def _coefficient_triples(args) -> tuple[tuple[float, float, float], tuple[float,
     return tuple(alpha), tuple(beta)
 
 
+@contextmanager
 def _open_out(path: str | None):
+    """The output stream for ``--out``: stdout for None or ``-``, else the file."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline="\n"), True
+        yield sys.stdout
+        return
+    with open(path, "w", newline="\n") as stream:
+        yield stream
 
 
 def _write_text(path: str | None, text: str) -> None:
-    stream, close = _open_out(path)
-    try:
+    with _open_out(path) as stream:
         stream.write(text)
-    finally:
-        if close:
-            stream.close()
 
 
 def cmd_mesh(args) -> int:
     mesh = generate_mesh(DomainSpec(args.domain), args.level)
-    stream, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as stream:
         write_mesh(mesh, stream)
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -144,12 +141,8 @@ def cmd_assemble(args) -> int:
         matrix = assemble_stiffness(mesh, dofmap, coeff)
     else:
         matrix = assemble_boundary_mass(mesh, dofmap)
-    stream, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as stream:
         write_matrix(matrix, stream)
-    finally:
-        if close:
-            stream.close()
     return 0
 
 

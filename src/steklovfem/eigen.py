@@ -7,14 +7,14 @@ The iterative solver finds that dominant subspace with implicitly restarted
 Lanczos (ARPACK, see Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM
 1998) on ``A^{-1} B`` in the ``A`` inner product, then polishes it with
 Rayleigh-Ritz sweeps of inverse subspace iteration until every residual meets
-the tolerance.  Both stages apply ``A^{-1}`` through one cached sparse
-factorization.  The kernel of ``B`` corresponds to ``mu = 0`` and never mixes
-into the dominant subspace, so no deflation is needed.
+the tolerance.  Both stages apply ``A^{-1}`` through one sparse factorization.
+The kernel of ``B`` corresponds to ``mu = 0`` and never mixes into the
+dominant subspace, so no deflation is needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -30,7 +30,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "ConvergenceFailureError",
     "factorize_spd",
-    "solve_spd",
     "solve_pencil",
     "dense_oracle",
     "DEFAULT_TOL",
@@ -118,21 +117,8 @@ class SpdFactor:
 
 
 def factorize_spd(matrix: SymSparse) -> SpdFactor:
-    """Factor an SPD matrix, caching the factor on the matrix object."""
-    cached = getattr(matrix, "_spd_factor", None)
-    if cached is None:
-        cached = SpdFactor(matrix)
-        matrix._spd_factor = cached
-    return cached
-
-
-def solve_spd(matrix: SymSparse, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``A x = rhs`` with one step of iterative refinement."""
-    factor = factorize_spd(matrix)
-    rhs = np.asarray(rhs, dtype=float)
-    x = factor.solve(rhs)
-    x += factor.solve(rhs - matrix @ x)
-    return x
+    """Factor an SPD matrix."""
+    return SpdFactor(matrix)
 
 
 def _sym(m: np.ndarray) -> np.ndarray:

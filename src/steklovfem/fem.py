@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import LOCAL_EDGES, Mesh
+from .mesh import EDGE_ENDS, EDGE_STARTS, Mesh
 
 __all__ = [
     "P1",
@@ -34,7 +34,6 @@ __all__ = [
     "affine",
     "assemble_stiffness",
     "assemble_boundary_mass",
-    "evaluate_fe",
     "write_matrix",
 ]
 
@@ -106,21 +105,13 @@ def build_dof_map(mesh: Mesh, family: str) -> DofMap:
     """
     _check_family(family)
     tris = mesh.triangles
-    b_tris = mesh.boundary_edges[:, 0]
-    b_locals = mesh.boundary_edges[:, 1]
 
     if family == P1:
-        first = np.array([e[0] for e in LOCAL_EDGES])
-        second = np.array([e[1] for e in LOCAL_EDGES])
-        rows = tris[b_tris]
-        idx = np.arange(len(b_tris))
-        bdofs = np.unique(np.concatenate([rows[idx, first[b_locals]],
-                                          rows[idx, second[b_locals]]]))
         return DofMap(
             family=P1,
             n_dofs=mesh.n_vertices,
             cell_dofs=tris.copy(),
-            boundary_dofs=bdofs,
+            boundary_dofs=np.unique(mesh.boundary_edge_vertices()),
             dof_points=mesh.vertices.copy(),
         )
 
@@ -136,7 +127,7 @@ def build_dof_map(mesh: Mesh, family: str) -> DofMap:
     midpoints = 0.5 * (mesh.vertices[edge_vertices[:, 0]] + mesh.vertices[edge_vertices[:, 1]])
     # All three traces of a boundary triangle are nonzero on its boundary
     # edge (the two non-midpoint ones are odd linear functions there).
-    bdofs = np.unique(cell_dofs[b_tris].ravel())
+    bdofs = np.unique(cell_dofs[mesh.boundary_edges[:, 0]].ravel())
     return DofMap(
         family=CR,
         n_dofs=len(uniq_keys),
@@ -327,12 +318,10 @@ def _boundary_gauss_bary(local_edges: np.ndarray) -> np.ndarray:
     """
     ne = len(local_edges)
     bary = np.zeros((ne, len(EDGE_GAUSS_POINTS), 3))
-    first = np.array([e[0] for e in LOCAL_EDGES])
-    second = np.array([e[1] for e in LOCAL_EDGES])
     idx = np.arange(ne)
     for g, t in enumerate(EDGE_GAUSS_POINTS):
-        bary[idx, g, first[local_edges]] = 1.0 - t
-        bary[idx, g, second[local_edges]] = t
+        bary[idx, g, EDGE_STARTS[local_edges]] = 1.0 - t
+        bary[idx, g, EDGE_ENDS[local_edges]] = t
     return bary
 
 
@@ -352,25 +341,12 @@ def assemble_boundary_mass(mesh: Mesh, dofmap: DofMap) -> SymSparse:
     return _scatter(dofmap.cell_dofs[b_tris], local, dofmap.n_dofs)
 
 
-def evaluate_fe(values: np.ndarray, dofmap: DofMap, tri: int, bary) -> float:
-    """Evaluate a finite element function inside one triangle.
-
-    Parameters
-    ----------
-    values : ndarray, shape (n_dofs,)
-    tri : int
-    bary : array-like, shape (3,)
-        Nonnegative barycentric coordinates summing to one.
-    """
-    bary = np.asarray(bary, dtype=float)
-    if bary.shape != (3,) or bary.min() < -1e-9 or abs(bary.sum() - 1.0) > 1e-9:
-        raise ValueError(f"invalid barycentric coordinates {bary!r}")
-    basis = _basis_at_bary(bary[None, :], dofmap.family)[0]
-    return float(values[dofmap.cell_dofs[tri]] @ basis)
-
-
 def evaluate_fe_many(values: np.ndarray, dofmap: DofMap,
                      tris: np.ndarray, bary: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`evaluate_fe` over arrays of triangles and points."""
+    """Evaluate a finite element function at points inside given triangles.
+
+    ``bary`` holds barycentric coordinates along its last axis; its leading
+    axes broadcast against ``tris``, and the result has the broadcast shape.
+    """
     basis = _basis_at_bary(bary.reshape(-1, 3), dofmap.family).reshape(bary.shape)
     return np.einsum("...a,...a->...", values[dofmap.cell_dofs[tris]], basis)

@@ -23,7 +23,6 @@ __all__ = [
     "singular_model",
     "interpolate_p1",
     "interpolate_cr",
-    "interpolate_boundary_constant",
 ]
 
 
@@ -121,21 +120,3 @@ def interpolate_cr(mesh: Mesh, dofmap: DofMap, f) -> np.ndarray:
         mean += w * pf(pt[:, 0], pt[:, 1], side)
     return mean
 
-
-def interpolate_boundary_constant(mesh: Mesh, f) -> np.ndarray:
-    """Edge-wise means of ``f`` over the boundary, in traversal order.
-
-    Returns one value per boundary edge, aligned with
-    ``mesh.boundary_edges``; this is the piecewise-constant boundary
-    projection used in trace error arguments.
-    """
-    pf = as_point_function(f)
-    ends = mesh.boundary_edge_vertices()
-    pa = mesh.vertices[ends[:, 0]]
-    pb = mesh.vertices[ends[:, 1]]
-    side = edge_slit_sides(mesh, ends[:, 0], ends[:, 1])
-    mean = np.zeros(len(ends))
-    for t, w in zip(EDGE_GAUSS_POINTS, EDGE_GAUSS_WEIGHTS):
-        pt = (1.0 - t) * pa + t * pb
-        mean += w * pf(pt[:, 0], pt[:, 1], side)
-    return mean

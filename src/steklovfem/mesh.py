@@ -26,7 +26,6 @@ __all__ = [
     "LOCAL_EDGES",
     "generate_mesh",
     "refine",
-    "boundary_arclength_order",
     "edge_slit_sides",
     "write_mesh",
 ]
@@ -36,6 +35,8 @@ SQRT2 = math.sqrt(2.0)
 # Local edge i is the edge opposite local vertex i, directed so that a CCW
 # walk of the triangle traverses (v1,v2), (v2,v0), (v0,v1).
 LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
+# Start and end vertex of each local edge, as index arrays.
+EDGE_STARTS, EDGE_ENDS = np.array(LOCAL_EDGES).T
 
 _KINDS = ("square", "lshape", "slit")
 
@@ -142,10 +143,6 @@ class Mesh:
         return SQRT2 / self.level
 
     @property
-    def grid_step(self) -> float:
-        return 1.0 / self.level
-
-    @property
     def n_vertices(self) -> int:
         return len(self.vertices)
 
@@ -170,11 +167,9 @@ class Mesh:
         """Directed endpoint indices of the boundary edges, shape (nb, 2)."""
         tris = self.boundary_edges[:, 0]
         loc = self.boundary_edges[:, 1]
-        first = np.array([e[0] for e in LOCAL_EDGES])
-        second = np.array([e[1] for e in LOCAL_EDGES])
         rows = self.triangles[tris]
-        return np.column_stack([rows[np.arange(len(tris)), first[loc]],
-                                rows[np.arange(len(tris)), second[loc]]])
+        return np.column_stack([rows[np.arange(len(tris)), EDGE_STARTS[loc]],
+                                rows[np.arange(len(tris)), EDGE_ENDS[loc]]])
 
     def boundary_edge_lengths(self) -> np.ndarray:
         ends = self.boundary_edge_vertices()
@@ -397,21 +392,6 @@ def edge_slit_sides(mesh: Mesh, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sa = mesh.vertex_slit_side[a].astype(np.int8)
     sb = mesh.vertex_slit_side[b].astype(np.int8)
     return np.where(sa != 0, sa, sb)
-
-
-def boundary_arclength_order(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary edges in traversal order with cumulative arclength.
-
-    Returns
-    -------
-    edges : ndarray, shape (nb, 3)
-        Copy of ``mesh.boundary_edges``.
-    cumulative : ndarray, shape (nb,)
-        Arclength at the end of each edge; the last entry equals the
-        domain perimeter.
-    """
-    lengths = mesh.boundary_edge_lengths()
-    return mesh.boundary_edges.copy(), np.cumsum(lengths)
 
 
 def write_mesh(mesh: Mesh, stream) -> None:

@@ -14,9 +14,8 @@ from steklovfem import (
     ReferenceSpec,
     UndefinedRatioError,
     align_sign,
+    assemble_stiffness,
     boundary_l2_error,
-    boundary_l2_norm,
-    broken_h1_norm,
     build_dof_map,
     compute_reference,
     convergence_ratio,
@@ -78,32 +77,42 @@ class TestFeFunction:
         assert np.array_equal(fn.negated().values, -fn.values)
 
 
+def zero_fe(mesh):
+    dm = build_dof_map(mesh, P1)
+    return FeFunction(mesh=mesh, dofmap=dm, values=np.zeros(dm.n_dofs))
+
+
+def stiffness_norm(fn):
+    """The broken H1 norm, as the quadratic form of the unit-coefficient stiffness."""
+    a = assemble_stiffness(fn.mesh, fn.dofmap)
+    return math.sqrt(fn.values @ (a @ fn.values))
+
+
 class TestBoundaryL2Norm:
+    """The boundary L2 norm is the distance to a zero function."""
+
     def test_constant_on_square(self, get_mesh):
         mesh = get_mesh("square", 4)
-        assert boundary_l2_norm(lambda x, y: np.ones_like(x), mesh) == pytest.approx(2.0, rel=1e-12)
+        assert boundary_l2_error(zero_fe(mesh), lambda x, y: np.ones_like(x)) == pytest.approx(
+            2.0, rel=1e-12)
 
     def test_constant_on_slit(self, get_mesh):
         # The slit contributes both sides: perimeter 5, norm sqrt(5).
         mesh = get_mesh("slit", 4)
-        assert boundary_l2_norm(lambda x, y: np.ones_like(x), mesh) == pytest.approx(
+        assert boundary_l2_error(zero_fe(mesh), lambda x, y: np.ones_like(x)) == pytest.approx(
             math.sqrt(5.0), rel=1e-12)
 
     def test_fe_function_path(self, get_mesh):
         mesh = get_mesh("lshape", 4)
         fn = p1_interpolant(mesh, lambda x, y: np.ones_like(x))
-        assert boundary_l2_norm(fn) == pytest.approx(2.0, rel=1e-12)  # perimeter 4
-
-    def test_point_function_needs_mesh(self):
-        with pytest.raises(ValueError, match="mesh"):
-            boundary_l2_norm(lambda x, y: x)
+        assert boundary_l2_error(fn, zero_fe(mesh)) == pytest.approx(2.0, rel=1e-12)  # perimeter 4
 
     def test_norm_squared_equals_b_quadratic_form(self, get_mesh, get_pencil):
         mesh = get_mesh("lshape", 8)
         pencil = get_pencil("lshape", 8, P1)
         fn = random_fe(mesh, P1, seed=1)
         quad = float(fn.values @ (pencil.b @ fn.values))
-        assert boundary_l2_norm(fn) ** 2 == pytest.approx(quad, rel=1e-12)
+        assert boundary_l2_error(fn, zero_fe(mesh)) ** 2 == pytest.approx(quad, rel=1e-12)
 
     def test_normalized_eigenvector_has_unit_trace_norm(self, get_mesh, get_pencil):
         mesh = get_mesh("lshape", 8)
@@ -111,26 +120,28 @@ class TestBoundaryL2Norm:
         sol = solve_pencil(pencil, 2)
         fn = FeFunction(mesh=mesh, dofmap=build_dof_map(mesh, P1),
                         values=sol.eigenvectors[:, 1])
-        assert boundary_l2_norm(fn) == pytest.approx(1.0, abs=1e-10)
+        assert boundary_l2_error(fn, zero_fe(mesh)) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestBrokenH1Norm:
+    """With unit coefficients the stiffness matrix is the broken H1 inner product."""
+
     def test_constant_on_square(self, get_mesh):
         fn = p1_interpolant(get_mesh("square", 4), lambda x, y: np.ones_like(x))
-        assert broken_h1_norm(fn) == pytest.approx(1.0, rel=1e-12)
+        assert stiffness_norm(fn) == pytest.approx(1.0, rel=1e-12)
 
     def test_linear_on_square(self, get_mesh):
         fn = p1_interpolant(get_mesh("square", 4), lambda x, y: x)
-        assert broken_h1_norm(fn) == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-12)
+        assert stiffness_norm(fn) == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-12)
 
     def test_constant_on_lshape(self, get_mesh):
         fn = p1_interpolant(get_mesh("lshape", 4), lambda x, y: np.ones_like(x))
-        assert broken_h1_norm(fn) == pytest.approx(math.sqrt(0.75), rel=1e-12)
+        assert stiffness_norm(fn) == pytest.approx(math.sqrt(0.75), rel=1e-12)
 
     def test_cr_linear_on_lshape(self, get_mesh):
         # int(x^2) over the L-shape is 3/16; the gradient part adds the area.
         fn = cr_interpolant(get_mesh("lshape", 4), lambda x, y: x)
-        assert broken_h1_norm(fn) == pytest.approx(math.sqrt(0.75 + 3.0 / 16.0), rel=1e-12)
+        assert stiffness_norm(fn) == pytest.approx(math.sqrt(0.75 + 3.0 / 16.0), rel=1e-12)
 
 
 class TestTransfer:
@@ -139,7 +150,7 @@ class TestTransfer:
         chain, fine = chain_to(coarse, 8)
         u = p1_interpolant(coarse, lambda x, y: np.ones_like(x))
         ref = p1_interpolant(fine, lambda x, y: np.ones_like(x))
-        trace = transfer_reference(ref, chain, coarse_mesh=coarse)
+        trace = transfer_reference(ref, chain)
         assert boundary_l2_error(u, trace) == pytest.approx(0.0, abs=1e-13)
 
     def test_linear_transfers_exactly_two_hops(self, get_mesh):
@@ -181,13 +192,14 @@ class TestTransfer:
             transfer_reference(ref16, [r4])
 
     def test_coarse_mesh_mismatch(self, get_mesh):
+        # A function on any mesh but the coarse end of the chain is refused,
+        # whether its level or its domain differs.
         coarse = get_mesh("square", 4)
         chain, fine = chain_to(coarse, 8)
-        ref = p1_interpolant(fine, lambda x, y: x)
-        with pytest.raises(NestingError, match="starts at"):
-            transfer_reference(ref, chain, coarse_mesh=get_mesh("square", 8))
-        with pytest.raises(NestingError, match="starts at"):
-            transfer_reference(ref, chain, coarse_mesh=get_mesh("lshape", 4))
+        trace = transfer_reference(p1_interpolant(fine, lambda x, y: x), chain)
+        for mesh in (get_mesh("square", 8), get_mesh("lshape", 4)):
+            with pytest.raises(ValueError, match="different mesh"):
+                align_sign(p1_interpolant(mesh, lambda x, y: x), trace)
 
     def test_mismatched_function_mesh_rejected(self, get_mesh):
         coarse = get_mesh("square", 4)

@@ -18,9 +18,9 @@ from steklovfem import (
     dense_oracle,
     factorize_spd,
     solve_pencil,
-    solve_spd,
 )
-from steklovfem.eigen import DEFAULT_TOL, DENSE_ORACLE_MAX_DIM
+from steklovfem import eigen
+from steklovfem.eigen import DEFAULT_TOL, DENSE_ORACLE_MAX_DIM, SpdFactor
 
 
 def diag_sparse(values):
@@ -36,12 +36,12 @@ def dense_spd_sparse(a):
 
 class TestSolveSpd:
     def test_scalar(self):
-        assert solve_spd(diag_sparse([4.0]), np.array([8.0])) == pytest.approx([2.0])
+        assert factorize_spd(diag_sparse([4.0])).solve(np.array([8.0])) == pytest.approx([2.0])
 
     def test_round_trip_on_stiffness(self, get_pencil):
         a = get_pencil("lshape", 8, P1).a
         ones = np.ones(a.dimension)
-        x = solve_spd(a, a @ ones)
+        x = factorize_spd(a).solve(a @ ones)
         assert x == pytest.approx(ones, abs=1e-12)
 
     def test_random_spd_system(self):
@@ -49,23 +49,26 @@ class TestSolveSpd:
         m = rng.standard_normal((10, 10))
         a = m.T @ m + np.eye(10)
         rhs = rng.standard_normal(10)
-        x = solve_spd(dense_spd_sparse(a), rhs)
+        x = factorize_spd(dense_spd_sparse(a)).solve(rhs)
         assert np.linalg.norm(a @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
-    def test_factor_is_cached(self):
-        m = diag_sparse([1.0, 2.0, 3.0])
-        assert factorize_spd(m) is factorize_spd(m)
+    def test_no_factor_outlives_solve_pencil(self, get_pencil, monkeypatch):
+        # Nothing keeps the factor once the solve returns, so its memory goes
+        # back without the cyclic collector.
+        pencil, factorize, factors = get_pencil("lshape", 4, P1), eigen.factorize_spd, []
 
-    def test_factor_dies_with_its_matrix(self):
-        # No reference cycle: the factor is freed without the cyclic collector.
+        def tracked(matrix):
+            factor = factorize(matrix)
+            factors.append(weakref.ref(factor))
+            return factor
+
+        monkeypatch.setattr(eigen, "factorize_spd", tracked)
         enabled = gc.isenabled()
         gc.disable()
         try:
-            m = diag_sparse([1.0, 2.0, 3.0])
-            factor = weakref.ref(factorize_spd(m))
-            assert factor() is not None
-            del m
-            assert factor() is None
+            solve_pencil(pencil, 2)
+            assert len(factors) == 1
+            assert factors[0]() is None
         finally:
             if enabled:
                 gc.enable()
@@ -188,17 +191,16 @@ class TestSolvePencilFem:
         mesh, dm = get_mesh("slit", 32), get_dofmap("slit", 32, CR)
         pencil = Pencil(assemble_stiffness(mesh, dm), assemble_boundary_mass(mesh, dm))
         assert pencil.dimension == 3152
-        factor = factorize_spd(pencil.a)
-        solve, columns = factor.solve, []
+        solve, columns = SpdFactor.solve, []
 
-        def counted(rhs):
+        def counted(factor, rhs):
             columns.append(1 if rhs.ndim == 1 else rhs.shape[1])
-            return solve(rhs)
+            return solve(factor, rhs)
 
-        monkeypatch.setattr(factor, "solve", counted)
+        monkeypatch.setattr(SpdFactor, "solve", counted)
         sol = solve_pencil(pencil, 8)
         assert (sol.residual_norms <= DEFAULT_TOL).all()
-        assert sum(columns) <= 120
+        assert 0 < sum(columns) <= 120
 
     @pytest.mark.parametrize("converged", (0, 2))
     def test_lanczos_no_convergence_falls_back_to_sweeps(self, get_pencil, monkeypatch,

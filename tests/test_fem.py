@@ -16,7 +16,6 @@ from steklovfem import (
     assemble_stiffness,
     build_dof_map,
     constant_coefficients,
-    evaluate_fe,
     write_matrix,
 )
 from steklovfem.fem import (
@@ -331,19 +330,19 @@ class TestEvaluate:
         mesh = get_mesh("lshape", 4)
         dm = get_dofmap("lshape", 4, P1)
         values = dm.dof_points[:, 0]
-        bary = np.array([0.2, 0.3, 0.5])
-        for tri in (0, 5, 11):
-            point = bary @ mesh.triangle_corners()[tri]
-            assert evaluate_fe(values, dm, tri, bary) == pytest.approx(point[0])
+        tris = np.array([0, 5, 11])
+        bary = np.tile([0.2, 0.3, 0.5], (len(tris), 1))
+        points = np.einsum("tc,tcd->td", bary, mesh.triangle_corners()[tris])
+        assert evaluate_fe_many(values, dm, tris, bary) == pytest.approx(points[:, 0])
 
     def test_cr_reproduces_linears(self, get_mesh, get_dofmap):
         mesh = get_mesh("lshape", 4)
         dm = get_dofmap("lshape", 4, CR)
         values = dm.dof_points[:, 0]
-        bary = np.array([0.1, 0.6, 0.3])
-        for tri in (0, 7, 13):
-            point = bary @ mesh.triangle_corners()[tri]
-            assert evaluate_fe(values, dm, tri, bary) == pytest.approx(point[0])
+        tris = np.array([0, 7, 13])
+        bary = np.tile([0.1, 0.6, 0.3], (len(tris), 1))
+        points = np.einsum("tc,tcd->td", bary, mesh.triangle_corners()[tris])
+        assert evaluate_fe_many(values, dm, tris, bary) == pytest.approx(points[:, 0])
 
     def test_hat_function_vanishes_at_opposite_midpoint(self, get_mesh, get_dofmap):
         mesh = get_mesh("square", 2)
@@ -351,21 +350,13 @@ class TestEvaluate:
         tri = 0
         values = np.zeros(dm.n_dofs)
         values[mesh.triangles[tri, 0]] = 1.0
-        assert evaluate_fe(values, dm, tri, [0.0, 0.5, 0.5]) == 0.0
-
-    def test_invalid_barycentric_rejected(self, get_mesh, get_dofmap):
-        dm = get_dofmap("square", 2, P1)
-        values = np.zeros(dm.n_dofs)
-        with pytest.raises(ValueError, match="barycentric"):
-            evaluate_fe(values, dm, 0, [0.5, 0.6, 0.2])
-        with pytest.raises(ValueError, match="barycentric"):
-            evaluate_fe(values, dm, 0, [-0.2, 0.7, 0.5])
+        assert evaluate_fe_many(values, dm, tri, np.array([0.0, 0.5, 0.5])) == 0.0
 
     def test_triangle_index_out_of_range(self, get_mesh, get_dofmap):
         dm = get_dofmap("square", 2, P1)
         values = np.zeros(dm.n_dofs)
         with pytest.raises(IndexError):
-            evaluate_fe(values, dm, 999, [1.0, 0.0, 0.0])
+            evaluate_fe_many(values, dm, np.array([999]), np.array([[1.0, 0.0, 0.0]]))
 
     def test_cr_is_double_valued_on_interior_edges(self, get_mesh, get_dofmap):
         mesh = get_mesh("square", 2)
@@ -378,29 +369,32 @@ class TestEvaluate:
         loc_lower = list(dm.cell_dofs[lower]).index(shared)
         loc_upper = list(dm.cell_dofs[upper]).index(shared)
 
-        def bary_at(loc, t):
+        def at(tri, loc, t):
             e0, e1 = LOCAL_EDGES[loc]
             bary = np.zeros(3)
             bary[e0], bary[e1] = 1.0 - t, t
-            return bary
+            return evaluate_fe_many(values, dm, tri, bary)
 
         # At the shared midpoint the two traces agree ...
-        at_mid_lower = evaluate_fe(values, dm, lower, bary_at(loc_lower, 0.5))
-        at_mid_upper = evaluate_fe(values, dm, upper, bary_at(loc_upper, 0.5))
-        assert at_mid_lower == pytest.approx(at_mid_upper, rel=1e-14)
+        assert at(lower, loc_lower, 0.5) == pytest.approx(at(upper, loc_upper, 0.5), rel=1e-14)
         # ... but generically nowhere else along the edge.
-        off_lower = evaluate_fe(values, dm, lower, bary_at(loc_lower, 0.25))
-        off_upper_a = evaluate_fe(values, dm, upper, bary_at(loc_upper, 0.25))
-        off_upper_b = evaluate_fe(values, dm, upper, bary_at(loc_upper, 0.75))
+        off_lower = at(lower, loc_lower, 0.25)
+        off_upper_a = at(upper, loc_upper, 0.25)
+        off_upper_b = at(upper, loc_upper, 0.75)
         assert abs(off_lower - off_upper_a) > 1e-8 or abs(off_lower - off_upper_b) > 1e-8
 
     def test_evaluate_many_matches_scalar(self, get_mesh, get_dofmap):
+        # A batch, and a block of points per triangle broadcast against the
+        # triangles, agree with evaluating one point at a time.
         mesh = get_mesh("lshape", 4)
         dm = get_dofmap("lshape", 4, CR)
         rng = np.random.default_rng(11)
         values = rng.standard_normal(dm.n_dofs)
         tris = np.array([0, 3, 9])
-        bary = rng.dirichlet(np.ones(3), size=3)
-        got = evaluate_fe_many(values, dm, tris, bary)
-        expected = [evaluate_fe(values, dm, t, b) for t, b in zip(tris, bary)]
-        assert got == pytest.approx(expected, rel=1e-14)
+        bary = rng.dirichlet(np.ones(3), size=(3, 2))
+        expected = np.array([[evaluate_fe_many(values, dm, t, b) for b in pts]
+                             for t, pts in zip(tris, bary)])
+        assert evaluate_fe_many(values, dm, tris[:, None], bary) == pytest.approx(
+            expected, rel=1e-14)
+        assert evaluate_fe_many(values, dm, tris, bary[:, 0]) == pytest.approx(
+            expected[:, 0], rel=1e-14)

@@ -11,7 +11,6 @@ from steklovfem import (
     PointFunction,
     as_point_function,
     build_dof_map,
-    interpolate_boundary_constant,
     interpolate_cr,
     interpolate_p1,
     singular_model,
@@ -184,16 +183,25 @@ class TestInterpolateCR:
         assert again == pytest.approx(fn.values, rel=1e-12, abs=1e-12)
 
 
+def boundary_means(mesh, f):
+    """Edge means of ``f`` on the boundary edges, in traversal order."""
+    dm = build_dof_map(mesh, CR)
+    return interpolate_cr(mesh, dm, f)[dm.cell_dofs[mesh.boundary_edges[:, 0],
+                                                    mesh.boundary_edges[:, 1]]]
+
+
 class TestInterpolateBoundaryConstant:
+    """The piecewise-constant boundary interpolant: CR values on boundary edges."""
+
     def test_constant(self, get_mesh):
         mesh = get_mesh("lshape", 4)
-        values = interpolate_boundary_constant(mesh, lambda x, y: np.ones_like(x))
+        values = boundary_means(mesh, lambda x, y: np.ones_like(x))
         assert values.shape == (mesh.n_boundary_edges,)
         assert values == pytest.approx(np.ones(mesh.n_boundary_edges))
 
     def test_linear_means_are_midpoint_values(self, get_mesh):
         mesh = get_mesh("lshape", 2)
-        values = interpolate_boundary_constant(mesh, lambda x, y: x + 2.0 * y)
+        values = boundary_means(mesh, lambda x, y: x + 2.0 * y)
         ends = mesh.boundary_edge_vertices()
         mid = 0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]])
         assert values == pytest.approx(mid[:, 0] + 2.0 * mid[:, 1])
@@ -204,7 +212,7 @@ class TestInterpolateBoundaryConstant:
         def f(x, y):
             return x**3 + y**2 - x * y
 
-        values = interpolate_boundary_constant(mesh, f)
+        values = boundary_means(mesh, f)
         ends = mesh.boundary_edge_vertices()
         expected = [edge_mean(mesh.vertices[a], mesh.vertices[b], f) for a, b in ends]
         assert values == pytest.approx(expected, rel=1e-12)
@@ -212,7 +220,7 @@ class TestInterpolateBoundaryConstant:
     def test_slit_sides_reach_function(self, get_mesh):
         mesh = get_mesh("slit", 4)
         pf = PointFunction(evaluation=lambda x, y, side: np.asarray(side, dtype=float))
-        values = interpolate_boundary_constant(mesh, pf)
+        values = boundary_means(mesh, pf)
         ends = mesh.boundary_edge_vertices()
         mid = 0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]])
         on_slit = (mid[:, 1] == 0.5) & (mid[:, 0] > 0.5)
