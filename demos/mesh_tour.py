@@ -30,9 +30,9 @@ for kind in ("square", "lshape", "slit"):
     print()
 
 # Uniform refinement halves h and exactly nests the triangles: every coarse
-# triangle is split into four children.  The refinement object records the
-# correspondence, which is what lets studies transfer reference traces
-# without any geometric search.
+# triangle is split into four children.  The refinement's parent map is the
+# grid arithmetic of `ancestor_map`, which is what lets studies transfer
+# reference traces from any finer level without geometric search.
 mesh = generate_mesh(DomainSpec("lshape"), 4)
 fine = refine(mesh)
 print(f"refining lshape level 4 -> level {fine.fine.level}: "

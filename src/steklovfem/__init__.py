@@ -14,7 +14,8 @@ exponent of the domain.
 """
 
 from .mesh import (DomainSpec, InvalidLevelError, Mesh, Refinement,
-                   edge_slit_sides, generate_mesh, refine, write_mesh)
+                   ancestor_map, edge_slit_sides, generate_mesh, refine,
+                   write_mesh)
 from .fem import (CR, CoefficientField, DofMap, InvalidCoefficientError, P1,
                   SymSparse, UNIT_COEFFICIENTS, affine, assemble_boundary_mass,
                   assemble_stiffness, build_dof_map, constant_coefficients,

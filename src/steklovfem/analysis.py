@@ -2,9 +2,10 @@
 
 Error measurement against a finer reference never relocates points
 geometrically: the meshes are nested by construction, so every fine triangle
-knows its coarse ancestor through the refinement chain, and all boundary
-quadrature runs on the fine partition (whose edges subdivide the coarse
-ones).  This keeps the error of the transfer itself at rounding level.
+finds its coarse ancestor by grid arithmetic (:func:`~.mesh.ancestor_map`),
+and all boundary quadrature runs on the fine partition (whose edges
+subdivide the coarse ones).  This keeps the error of the transfer itself at
+rounding level.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from .fem import (P1, CoefficientField, DofMap, UNIT_COEFFICIENTS,
                   assemble_boundary_mass, assemble_stiffness, build_dof_map,
                   evaluate_fe_many)
 from .interp import as_point_function
-from .mesh import (DomainSpec, Mesh, Refinement, edge_slit_sides,
-                   generate_mesh, refine)
+from .mesh import DomainSpec, Mesh, ancestor_map, edge_slit_sides, generate_mesh
 
 __all__ = [
     "FeFunction",
@@ -108,47 +108,37 @@ def _trace_values(f: FeFunction, tris, bary) -> np.ndarray:
 class TransferredTrace:
     """A fine-mesh function viewed from a coarse mesh through nesting.
 
-    Wraps a reference :class:`FeFunction` on the fine end of a refinement
-    chain; errors against coarse functions integrate on the fine boundary
-    partition, evaluating the coarse function through the composed
-    parent-triangle map.
+    Wraps a reference :class:`FeFunction` on a fine mesh whose level is a
+    multiple of the coarse level; errors against coarse functions integrate
+    on the fine boundary partition, evaluating the coarse function in each
+    fine triangle's ancestor.  Ancestors come from grid arithmetic, with no
+    geometric search.
     """
 
     fn: FeFunction
-    chain: tuple[Refinement, ...]
+    coarse_mesh: Mesh
     ancestor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.chain = tuple(self.chain)
-        for ref in self.chain:
-            if 2 * ref.coarse.level != ref.fine.level or ref.coarse.domain.kind != ref.fine.domain.kind:
-                raise NestingError("refinement chain link is not a doubling of the same domain")
-        for prev, nxt in zip(self.chain, self.chain[1:]):
-            if prev.fine.level != nxt.coarse.level or prev.fine.domain.kind != nxt.coarse.domain.kind:
-                raise NestingError("refinement chain links do not connect")
-        if self.chain:
-            last = self.chain[-1]
-            if last.fine.level != self.fn.mesh.level or last.fine.domain.kind != self.fn.mesh.domain.kind:
-                raise NestingError("refinement chain does not end at the reference mesh")
-        anc = np.arange(self.fn.mesh.n_triangles)
-        for ref in reversed(self.chain):
-            anc = ref.parent_of[anc]
-        self.ancestor = anc
-
-    @property
-    def coarse_mesh(self) -> Mesh:
-        return self.chain[0].coarse if self.chain else self.fn.mesh
+        fine = self.fn.mesh
+        if (fine.domain.kind != self.coarse_mesh.domain.kind
+                or fine.level % self.coarse_mesh.level):
+            raise NestingError(
+                f"{fine.domain.kind} level {fine.level} does not refine "
+                f"{self.coarse_mesh.domain.kind} level {self.coarse_mesh.level}")
+        self.ancestor = ancestor_map(self.coarse_mesh, fine)
 
 
-def transfer_reference(fn: FeFunction, chain: Sequence[Refinement]) -> TransferredTrace:
-    """Attach a refinement chain to a fine reference function.
+def transfer_reference(fn: FeFunction, coarse_mesh: Mesh) -> TransferredTrace:
+    """View a fine reference function from a coarse mesh of the same grid.
 
     Raises
     ------
     NestingError
-        If the chain links do not connect or do not end at the mesh of ``fn``.
+        If ``coarse_mesh`` covers another domain or its level does not
+        divide the level of the mesh of ``fn``.
     """
-    return TransferredTrace(fn=fn, chain=tuple(chain))
+    return TransferredTrace(fn=fn, coarse_mesh=coarse_mesh)
 
 
 def _bary_in_triangles(mesh: Mesh, tris: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -410,17 +400,7 @@ def run_convergence_study(domain: DomainSpec, family: str, levels: Sequence[int]
         if not ok:
             raise ValueError("reference solution does not match the study configuration")
 
-    # Meshes and refinements along the doubling chain up to the reference.
-    chain_levels = [levels[0]]
-    while chain_levels[-1] < reference.level:
-        chain_levels.append(2 * chain_levels[-1])
-    meshes = {levels[0]: generate_mesh(domain, levels[0])}
-    refinements: dict[int, Refinement] = {}
-    for lvl in chain_levels[:-1]:
-        r = refine(meshes[lvl])
-        refinements[lvl] = r
-        meshes[2 * lvl] = r.fine
-
+    meshes = {lvl: generate_mesh(domain, lvl) for lvl in levels}
     lambda_hs: list[float] = []
     u_errors: list[float] = []
     conforming_lambdas: dict[int, float] = {}
@@ -439,8 +419,7 @@ def run_convergence_study(domain: DomainSpec, family: str, levels: Sequence[int]
         if family == P1:
             conforming_lambdas[lvl] = target
         u_h = FeFunction(mesh, dofmap, sol.eigenvectors[:, eig_index - 1])
-        chain = [refinements[l] for l in chain_levels if l >= lvl and l < reference.level]
-        trace = transfer_reference(reference_solution.fn, chain)
+        trace = transfer_reference(reference_solution.fn, mesh)
         u_h = align_sign(u_h, trace)
         u_errors.append(boundary_l2_error(u_h, trace))
         lambda_hs.append(target)

@@ -37,8 +37,6 @@ class RunConfig:
     eig_index: int = 2
     reference_mode: str = "auto"
     reference_level: int = 512
-    alpha: tuple[float, float, float] = (1.0, 0.0, 0.0)
-    beta: tuple[float, float, float] = (1.0, 0.0, 0.0)
     tol: float = DEFAULT_TOL
     seed: int = DEFAULT_SEED
     out: str | None = None
@@ -62,10 +60,6 @@ class RunConfig:
         while levels[-1] < self.max_level:
             levels.append(2 * levels[-1])
         return levels
-
-    @property
-    def coefficients(self) -> CoefficientField:
-        return CoefficientField(alpha=affine(*self.alpha), beta=affine(*self.beta))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,16 +92,15 @@ def _add_coefficient_flags(sub) -> None:
                      metavar="C0,C1,C2", help="affine reaction c0 + c1*x1 + c2*x2")
 
 
-def _coefficient_triples(args) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+def _coefficient_field(args) -> CoefficientField:
+    """The coefficients named by ``--alpha``/``--beta`` or their affine forms."""
     if args.alpha is not None and args.alpha_affine is not None:
         raise ValueError("--alpha and --alpha-affine are mutually exclusive")
     if args.beta is not None and args.beta_affine is not None:
         raise ValueError("--beta and --beta-affine are mutually exclusive")
-    alpha = args.alpha_affine if args.alpha_affine is not None else \
-        (args.alpha if args.alpha is not None else 1.0, 0.0, 0.0)
-    beta = args.beta_affine if args.beta_affine is not None else \
-        (args.beta if args.beta is not None else 1.0, 0.0, 0.0)
-    return tuple(alpha), tuple(beta)
+    alpha = args.alpha_affine or (1.0 if args.alpha is None else args.alpha,)
+    beta = args.beta_affine or (1.0 if args.beta is None else args.beta,)
+    return CoefficientField(alpha=affine(*alpha), beta=affine(*beta))
 
 
 @contextmanager
@@ -135,8 +128,7 @@ def cmd_mesh(args) -> int:
 def cmd_assemble(args) -> int:
     mesh = generate_mesh(DomainSpec(args.domain), args.level)
     dofmap = build_dof_map(mesh, args.element)
-    alpha, beta = _coefficient_triples(args)
-    coeff = CoefficientField(alpha=affine(*alpha), beta=affine(*beta))
+    coeff = _coefficient_field(args)
     if args.which == "stiffness":
         matrix = assemble_stiffness(mesh, dofmap, coeff)
     else:
@@ -149,8 +141,7 @@ def cmd_assemble(args) -> int:
 def cmd_solve(args) -> int:
     mesh = generate_mesh(DomainSpec(args.domain), args.level)
     dofmap = build_dof_map(mesh, args.element)
-    alpha, beta = _coefficient_triples(args)
-    coeff = CoefficientField(alpha=affine(*alpha), beta=affine(*beta))
+    coeff = _coefficient_field(args)
     pencil = Pencil(assemble_stiffness(mesh, dofmap, coeff),
                     assemble_boundary_mass(mesh, dofmap))
     solution = solve_pencil(pencil, args.k, tol=args.tol, seed=args.seed)
@@ -162,15 +153,15 @@ def cmd_solve(args) -> int:
 
 
 def cmd_study(args) -> int:
-    alpha, beta = _coefficient_triples(args)
+    coeff = _coefficient_field(args)
     config = RunConfig(domain=args.domain, family=args.element,
                        min_level=args.min_level, max_level=args.max_level,
                        eig_index=args.eig_index, reference_mode=args.reference,
-                       reference_level=args.ref_level, alpha=alpha, beta=beta,
-                       tol=args.tol, seed=args.seed, out=args.out, format=args.format)
+                       reference_level=args.ref_level, tol=args.tol, seed=args.seed,
+                       out=args.out, format=args.format)
     table = run_convergence_study(
         DomainSpec(config.domain), config.family, config.levels,
-        eig_index=config.eig_index, coeff=config.coefficients,
+        eig_index=config.eig_index, coeff=coeff,
         reference=ReferenceSpec(config.reference_mode, config.reference_level),
         tol=config.tol, seed=config.seed)
     text = table.to_csv() if config.format == "csv" else table.to_markdown()

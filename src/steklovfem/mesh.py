@@ -2,7 +2,7 @@
 
 Every mesh lives on the grid of step ``1/level``; each grid square is split
 along its lower-left to upper-right diagonal into two triangles, so the mesh
-at level ``2n`` is an exact refinement of the mesh at level ``n``.  The mesh
+at level ``r*n`` is an exact refinement of the mesh at level ``n``.  The mesh
 size is ``h = sqrt(2)/level`` (the diagonal length).
 
 The slit domain is the unit square cut along the open segment
@@ -25,6 +25,7 @@ __all__ = [
     "InvalidLevelError",
     "LOCAL_EDGES",
     "generate_mesh",
+    "ancestor_map",
     "refine",
     "edge_slit_sides",
     "write_mesh",
@@ -157,11 +158,6 @@ class Mesh:
     def triangle_corners(self) -> np.ndarray:
         """Corner coordinates of every triangle, shape (n_triangles, 3, 2)."""
         return self.vertices[self.triangles]
-
-    def edge_endpoints(self, tri: int, local_edge: int) -> tuple[int, int]:
-        """Vertex indices of a local edge, in CCW traversal direction."""
-        a, b = LOCAL_EDGES[local_edge]
-        return int(self.triangles[tri, a]), int(self.triangles[tri, b])
 
     def boundary_edge_vertices(self) -> np.ndarray:
         """Directed endpoint indices of the boundary edges, shape (nb, 2)."""
@@ -351,34 +347,46 @@ class Refinement:
     fine: Mesh
     parent_of: np.ndarray
 
-    @property
-    def children(self) -> np.ndarray:
-        """Fine triangle indices per coarse triangle, shape (nc, 4)."""
-        order = np.argsort(self.parent_of, kind="stable")
-        return order.reshape(self.coarse.n_triangles, 4)
+
+def ancestor_map(coarse: Mesh, fine: Mesh) -> np.ndarray:
+    """The coarse triangle containing each fine triangle.
+
+    ``fine`` must cover the same domain as ``coarse`` at a level that is a
+    multiple ``r`` of the coarse level.  Each coarse grid square then holds
+    ``r x r`` fine squares, so the ancestor follows from the grid layout,
+    not from a geometric search, and every coarse triangle has exactly
+    ``r**2`` descendants.
+
+    Examples
+    --------
+    >>> square = DomainSpec("square")
+    >>> anc = ancestor_map(generate_mesh(square, 2), generate_mesh(square, 4))
+    >>> np.bincount(anc).tolist()
+    [4, 4, 4, 4, 4, 4, 4, 4]
+    """
+    r = fine.level // coarse.level
+    # Coarse square (ci, cj) and the fine square's offset (a, b) inside it.
+    (ci, cj), (a, b) = np.divmod(fine.tri_square.T, r)
+    # Sub-squares on the coarse diagonal (a == b) keep the fine orientation;
+    # the off-diagonal sub-squares lie wholly in one coarse triangle.
+    upper = np.where(a == b, fine.tri_upper, b > a)
+    ancestor = coarse.square_to_tri[ci, cj, upper.astype(np.int64)]
+    if (ancestor < 0).any():
+        raise RuntimeError("a fine triangle falls outside the coarse mesh")
+    counts = np.bincount(ancestor, minlength=coarse.n_triangles)
+    if not (counts == r * r).all():
+        raise RuntimeError(f"each coarse triangle must have exactly {r * r} descendants")
+    return ancestor
 
 
 def refine(mesh: Mesh) -> Refinement:
     """Refine uniformly by doubling the level.
 
     Each coarse triangle is the union of exactly four fine triangles; the
-    parent map is computed from the grid layout, not by geometric search.
+    parent map is :func:`ancestor_map` of the two meshes.
     """
     fine = generate_mesh(mesh.domain, 2 * mesh.level)
-    fi = fine.tri_square[:, 0]
-    fj = fine.tri_square[:, 1]
-    a = fi % 2
-    b = fj % 2
-    # Sub-squares on the coarse diagonal (a == b) keep the fine orientation;
-    # the off-diagonal sub-squares lie wholly in one coarse triangle.
-    parent_upper = np.where(a == b, fine.tri_upper, b > a)
-    parent = mesh.square_to_tri[fi // 2, fj // 2, parent_upper.astype(np.int64)]
-    if (parent < 0).any():
-        raise RuntimeError("refinement produced a triangle outside the coarse mesh")
-    counts = np.bincount(parent, minlength=mesh.n_triangles)
-    if not (counts == 4).all():
-        raise RuntimeError("each coarse triangle must have exactly four children")
-    return Refinement(coarse=mesh, fine=fine, parent_of=parent)
+    return Refinement(coarse=mesh, fine=fine, parent_of=ancestor_map(mesh, fine))
 
 
 def edge_slit_sides(mesh: Mesh, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from steklovfem import (
     generate_mesh,
     interpolate_cr,
     interpolate_p1,
-    refine,
     run_convergence_study,
     singular_model,
     solve_pencil,
@@ -47,16 +46,6 @@ def random_fe(mesh, family, seed):
     dm = build_dof_map(mesh, family)
     rng = np.random.default_rng(seed)
     return FeFunction(mesh=mesh, dofmap=dm, values=rng.standard_normal(dm.n_dofs))
-
-
-def chain_to(mesh, fine_level):
-    """Refine ``mesh`` repeatedly up to ``fine_level``; returns (chain, fine mesh)."""
-    chain = []
-    while mesh.level < fine_level:
-        r = refine(mesh)
-        chain.append(r)
-        mesh = r.fine
-    return chain, mesh
 
 
 class TestFeFunction:
@@ -146,65 +135,65 @@ class TestBrokenH1Norm:
 
 class TestTransfer:
     def test_constant_transfers_exactly(self, get_mesh):
-        coarse = get_mesh("square", 4)
-        chain, fine = chain_to(coarse, 8)
+        coarse, fine = get_mesh("square", 4), get_mesh("square", 8)
         u = p1_interpolant(coarse, lambda x, y: np.ones_like(x))
         ref = p1_interpolant(fine, lambda x, y: np.ones_like(x))
-        trace = transfer_reference(ref, chain)
+        trace = transfer_reference(ref, coarse)
         assert boundary_l2_error(u, trace) == pytest.approx(0.0, abs=1e-13)
 
     def test_linear_transfers_exactly_two_hops(self, get_mesh):
-        coarse = get_mesh("lshape", 4)
-        chain, fine = chain_to(coarse, 16)
+        coarse, fine = get_mesh("lshape", 4), get_mesh("lshape", 16)
         u = p1_interpolant(coarse, lambda x, y: 2.0 * x - y)
         ref = p1_interpolant(fine, lambda x, y: 2.0 * x - y)
-        trace = transfer_reference(ref, chain)
+        trace = transfer_reference(ref, coarse)
         assert trace.coarse_mesh.level == 4
         assert boundary_l2_error(u, trace) == pytest.approx(0.0, abs=1e-12)
 
+    def test_linear_transfers_exactly_odd_ratio(self, get_mesh):
+        coarse, fine = get_mesh("slit", 4), get_mesh("slit", 12)
+        u = cr_interpolant(coarse, lambda x, y: 2.0 * x - y)
+        ref = p1_interpolant(fine, lambda x, y: 2.0 * x - y)
+        assert boundary_l2_error(u, transfer_reference(ref, coarse)) == pytest.approx(0.0, abs=1e-12)
+
     def test_cr_against_p1_reference(self, get_mesh):
-        coarse = get_mesh("slit", 4)
-        chain, fine = chain_to(coarse, 8)
+        coarse, fine = get_mesh("slit", 4), get_mesh("slit", 8)
         u = cr_interpolant(coarse, lambda x, y: x + y)
         ref = p1_interpolant(fine, lambda x, y: x + y)
-        trace = transfer_reference(ref, chain)
+        trace = transfer_reference(ref, coarse)
         assert boundary_l2_error(u, trace) == pytest.approx(0.0, abs=1e-12)
 
-    def test_empty_chain_degenerates_to_same_mesh(self, get_mesh):
+    def test_same_level_degenerates_to_same_mesh(self, get_mesh):
         mesh = get_mesh("square", 4)
         u = p1_interpolant(mesh, lambda x, y: x)
-        trace = transfer_reference(u, [])
+        trace = transfer_reference(u, mesh)
         assert trace.coarse_mesh is mesh
+        assert np.array_equal(trace.ancestor, np.arange(mesh.n_triangles))
         assert boundary_l2_error(u, trace) == pytest.approx(0.0, abs=1e-14)
 
-    def test_chain_must_connect(self, get_mesh):
-        r4 = refine(get_mesh("square", 4))
-        r16 = refine(get_mesh("square", 16))
-        fine = r16.fine
-        ref = p1_interpolant(fine, lambda x, y: x)
-        with pytest.raises(NestingError, match="connect"):
-            transfer_reference(ref, [r4, r16])
+    def test_coarse_mesh_of_other_domain_rejected(self, get_mesh):
+        ref = p1_interpolant(get_mesh("square", 16), lambda x, y: x)
+        for kind in ("lshape", "slit"):
+            with pytest.raises(NestingError, match="does not refine"):
+                transfer_reference(ref, get_mesh(kind, 4))
 
-    def test_chain_must_end_at_reference_mesh(self, get_mesh):
-        r4 = refine(get_mesh("square", 4))
+    def test_coarse_level_must_divide_reference_level(self, get_mesh):
         ref16 = p1_interpolant(get_mesh("square", 16), lambda x, y: x)
-        with pytest.raises(NestingError, match="end at the reference"):
-            transfer_reference(ref16, [r4])
+        for level in (6, 32):
+            with pytest.raises(NestingError, match="does not refine"):
+                transfer_reference(ref16, get_mesh("square", level))
 
     def test_coarse_mesh_mismatch(self, get_mesh):
-        # A function on any mesh but the coarse end of the chain is refused,
+        # A function on any mesh but the trace's coarse mesh is refused,
         # whether its level or its domain differs.
-        coarse = get_mesh("square", 4)
-        chain, fine = chain_to(coarse, 8)
-        trace = transfer_reference(p1_interpolant(fine, lambda x, y: x), chain)
+        coarse, fine = get_mesh("square", 4), get_mesh("square", 8)
+        trace = transfer_reference(p1_interpolant(fine, lambda x, y: x), coarse)
         for mesh in (get_mesh("square", 8), get_mesh("lshape", 4)):
             with pytest.raises(ValueError, match="different mesh"):
                 align_sign(p1_interpolant(mesh, lambda x, y: x), trace)
 
     def test_mismatched_function_mesh_rejected(self, get_mesh):
-        coarse = get_mesh("square", 4)
-        chain, fine = chain_to(coarse, 8)
-        trace = transfer_reference(p1_interpolant(fine, lambda x, y: x), chain)
+        coarse, fine = get_mesh("square", 4), get_mesh("square", 8)
+        trace = transfer_reference(p1_interpolant(fine, lambda x, y: x), coarse)
         stranger = p1_interpolant(get_mesh("square", 8), lambda x, y: x)
         with pytest.raises(ValueError, match="different mesh"):
             boundary_l2_error(stranger, trace)
@@ -215,11 +204,10 @@ class TestBoundaryL2Error:
         ("lshape", P1), ("square", P1), ("slit", CR),
     ])
     def test_matches_brute_force_across_levels(self, get_mesh, kind, family):
-        coarse = get_mesh(kind, 4)
-        chain, fine = chain_to(coarse, 8)
+        coarse, fine = get_mesh(kind, 4), get_mesh(kind, 8)
         u = random_fe(coarse, family, seed=7)
         ref = random_fe(fine, P1, seed=8)
-        trace = transfer_reference(ref, chain)
+        trace = transfer_reference(ref, coarse)
         got = boundary_l2_error(u, trace)
         expected = boundary_error_brute(u, ref)
         assert got == pytest.approx(expected, rel=1e-12)
@@ -275,9 +263,8 @@ class TestAlignSign:
         assert np.array_equal(flipped.values, u.values)
 
     def test_against_transferred_trace(self, get_mesh):
-        coarse = get_mesh("lshape", 4)
-        chain, fine = chain_to(coarse, 8)
-        trace = transfer_reference(p1_interpolant(fine, lambda x, y: 1.0 + x), chain)
+        coarse, fine = get_mesh("lshape", 4), get_mesh("lshape", 8)
+        trace = transfer_reference(p1_interpolant(fine, lambda x, y: 1.0 + x), coarse)
         u = p1_interpolant(coarse, lambda x, y: -(1.0 + x))
         aligned = align_sign(u, trace)
         assert np.array_equal(aligned.values, -u.values)

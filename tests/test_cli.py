@@ -13,7 +13,7 @@ from steklovfem import (
     build_dof_map,
     dense_oracle,
 )
-from steklovfem.cli import RunConfig, main
+from steklovfem.cli import RunConfig, _coefficient_field, build_parser, main
 
 
 def run_cli(*argv, capsys=None):
@@ -42,8 +42,12 @@ class TestRunConfig:
             RunConfig(domain="lshape", family=P1, eig_index=0)
 
     def test_coefficient_field(self):
-        cfg = RunConfig(domain="square", family=P1, alpha=(2.0, 1.0, 0.0))
-        assert cfg.coefficients.alpha(np.array(0.5), np.array(0.0)) == pytest.approx(2.5)
+        args = build_parser().parse_args(
+            ["study", "--domain", "square", "--element", "p1", "--alpha-affine", "2,1,0",
+             "--beta", "3"])
+        coeff = _coefficient_field(args)
+        assert coeff.alpha(np.array(0.5), np.array(0.0)) == pytest.approx(2.5)
+        assert coeff.beta(np.array(0.5), np.array(0.25)) == pytest.approx(3.0)
 
 
 class TestMeshCommand:

@@ -8,11 +8,12 @@ from _utils import barycentric, undirected_edge_count
 from steklovfem import (
     DomainSpec,
     InvalidLevelError,
+    ancestor_map,
     generate_mesh,
     refine,
     write_mesh,
 )
-from steklovfem.mesh import LOCAL_EDGES, edge_slit_sides
+from steklovfem.mesh import EDGE_ENDS, EDGE_STARTS, LOCAL_EDGES, edge_slit_sides
 
 KINDS = ("square", "lshape", "slit")
 SQRT2 = math.sqrt(2.0)
@@ -245,18 +246,46 @@ class TestRefinement:
             bary = barycentric(coarse_corners[r.parent_of[f]], centroid)
             assert bary.min() > -1e-12
 
-    def test_children_property_shape(self, get_mesh):
-        r = refine(get_mesh("lshape", 2))
-        children = r.children
-        assert children.shape == (r.coarse.n_triangles, 4)
-        assert np.array_equal(np.sort(r.parent_of[children.ravel()]),
-                              np.repeat(np.arange(r.coarse.n_triangles), 4))
-
     def test_nested_vertices(self, get_mesh):
         r = refine(get_mesh("lshape", 4))
         coarse_set = {tuple(v) for v in r.coarse.vertices}
         fine_set = {tuple(v) for v in r.fine.vertices}
         assert coarse_set <= fine_set
+
+
+class TestAncestorMap:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_composed_refinements(self, get_mesh, kind):
+        # Compose refine's parent maps from level 2 up to 128, checking the
+        # direct map at every ratio 2..64 from the coarse end.
+        coarse = get_mesh(kind, 2)
+        mesh, composed = coarse, None
+        while mesh.level < 128:
+            r = refine(mesh)
+            composed = r.parent_of if composed is None else composed[r.parent_of]
+            mesh = r.fine
+            assert np.array_equal(ancestor_map(coarse, mesh), composed)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_ratio_one_is_identity(self, get_mesh, kind):
+        mesh = get_mesh(kind, 8)
+        assert np.array_equal(ancestor_map(mesh, mesh), np.arange(mesh.n_triangles))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_odd_ratio_partitions_coarse_triangles(self, get_mesh, kind):
+        coarse, fine = get_mesh(kind, 4), get_mesh(kind, 12)
+        anc = ancestor_map(coarse, fine)
+        assert (np.bincount(anc, minlength=coarse.n_triangles) == 9).all()
+        centroids = fine.triangle_corners().mean(axis=1)
+        corners = coarse.triangle_corners()[anc]
+        for c, p in zip(corners, centroids):
+            assert barycentric(c, p).min() > -1e-12
+
+    def test_other_domain_rejected(self, get_mesh):
+        with pytest.raises(RuntimeError, match="outside the coarse mesh"):
+            ancestor_map(get_mesh("lshape", 4), get_mesh("square", 8))
+        with pytest.raises(RuntimeError, match="exactly 4 descendants"):
+            ancestor_map(get_mesh("square", 4), get_mesh("lshape", 8))
 
 
 class TestMeshDump:
@@ -287,10 +316,9 @@ class TestMeshDump:
 class TestLocalEdges:
     def test_local_edge_is_opposite_vertex(self, get_mesh):
         m = get_mesh("square", 2)
-        for tri in range(m.n_triangles):
-            for loc in range(3):
-                a, b = m.edge_endpoints(tri, loc)
-                assert m.triangles[tri, loc] not in (a, b)
+        starts = m.triangles[:, EDGE_STARTS]
+        ends = m.triangles[:, EDGE_ENDS]
+        assert (starts != m.triangles).all() and (ends != m.triangles).all()
 
     def test_local_edges_are_ccw_walk(self):
         assert LOCAL_EDGES == ((1, 2), (2, 0), (0, 1))
