@@ -91,10 +91,9 @@ def _boundary_gauss(mesh: Mesh):
     physical points, and slit-side flags."""
     tris = mesh.boundary_edges[:, 0]
     locs = mesh.boundary_edges[:, 1]
-    bary = fem._boundary_gauss_bary(locs)
+    bary = fem.EDGE_GAUSS_BARY[locs]
     weights = mesh.boundary_edge_lengths()[:, None] * fem.EDGE_GAUSS_WEIGHTS[None, :]
-    corners = mesh.triangle_corners()[tris]
-    points = np.einsum("egc,ecd->egd", bary, corners)
+    points = np.einsum("egc,ecd->egd", bary, mesh.vertices[mesh.triangles[tris]])
     ends = mesh.boundary_edge_vertices()
     side = edge_slit_sides(mesh, ends[:, 0], ends[:, 1])
     return tris, bary, weights, points, side
@@ -143,7 +142,7 @@ def transfer_reference(fn: FeFunction, coarse_mesh: Mesh) -> TransferredTrace:
 
 def _bary_in_triangles(mesh: Mesh, tris: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Barycentric coordinates of given points inside given triangles."""
-    corners = mesh.triangle_corners()[tris]
+    corners = mesh.vertices[mesh.triangles[tris]]
     d1 = corners[..., 1, :] - corners[..., 0, :]
     d2 = corners[..., 2, :] - corners[..., 0, :]
     dp = points - corners[..., 0, :]

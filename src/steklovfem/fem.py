@@ -6,9 +6,10 @@ The bilinear forms are
     b(u, v) = integral over the boundary of  u v
 
 assembled triangle by triangle (so the Crouzeix-Raviart form is the broken
-one).  Element integrals use the three edge-midpoint quadrature points,
-boundary integrals the two-point Gauss rule on each edge; both are exact for
-the polynomial integrands that arise with constant coefficients.
+one), each symmetric element matrix entry by entry for its six upper pairs.
+Element integrals use the three edge-midpoint quadrature points, boundary
+integrals the two-point Gauss rule on each edge; both are exact for the
+polynomial integrands that arise with constant coefficients.
 """
 
 from __future__ import annotations
@@ -52,16 +53,15 @@ TRIANGLE_QUADRATURE_BARY = np.array([
 # Two-point Gauss rule on [0, 1].  Exact for cubics.
 EDGE_GAUSS_POINTS = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
 EDGE_GAUSS_WEIGHTS = np.array([0.5, 0.5])
+# Barycentric coordinates of those points on each local edge, shape (3, 2, 3):
+# on edge i the coordinate of vertex i vanishes, and the point at parameter t
+# has weight 1 - t on the edge's start vertex and t on its end vertex.
+EDGE_GAUSS_BARY = (np.eye(3)[EDGE_STARTS, None, :] * (1.0 - EDGE_GAUSS_POINTS)[:, None]
+                   + np.eye(3)[EDGE_ENDS, None, :] * EDGE_GAUSS_POINTS[:, None])
 
 
 class InvalidCoefficientError(ValueError):
     """Raised when a coefficient is not strictly positive at a quadrature point."""
-
-
-def _check_family(family: str) -> str:
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown element family {family!r}; expected one of {_FAMILIES}")
-    return family
 
 
 @dataclass
@@ -103,7 +103,8 @@ def build_dof_map(mesh: Mesh, family: str) -> DofMap:
     >>> build_dof_map(generate_mesh(DomainSpec("square"), 2), CR).n_dofs
     16
     """
-    _check_family(family)
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown element family {family!r}; expected one of {_FAMILIES}")
     tris = mesh.triangles
 
     if family == P1:
@@ -121,8 +122,9 @@ def build_dof_map(mesh: Mesh, family: str) -> DofMap:
     lo = np.minimum(heads, tails)
     hi = np.maximum(heads, tails)
     keys = lo * nv + hi
-    uniq_keys = np.unique(keys)
-    cell_dofs = np.searchsorted(uniq_keys, keys).reshape(-1, 3)
+    # return_inverse takes numpy's sort path, far faster here than its hash path.
+    uniq_keys, cell_dofs = np.unique(keys, return_inverse=True)
+    cell_dofs = cell_dofs.reshape(-1, 3)
     edge_vertices = np.column_stack([uniq_keys // nv, uniq_keys % nv])
     midpoints = 0.5 * (mesh.vertices[edge_vertices[:, 0]] + mesh.vertices[edge_vertices[:, 1]])
     # All three traces of a boundary triangle are nonzero on its boundary
@@ -193,9 +195,9 @@ class SymSparse:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         values = np.asarray(values, dtype=float)
-        r = np.minimum(rows, cols)
-        c = np.maximum(rows, cols)
-        coo = sp.coo_matrix((values, (r, c)), shape=(dimension, dimension))
+        # Pairs formed inline, so they are freed once coo_matrix has copied them.
+        coo = sp.coo_matrix((values, (np.minimum(rows, cols), np.maximum(rows, cols))),
+                            shape=(dimension, dimension))
         upper = coo.tocsr()
         upper.sum_duplicates()
         upper.eliminate_zeros()
@@ -237,23 +239,6 @@ def write_matrix(matrix: SymSparse, stream) -> None:
         stream.write(f"e {r} {c} {v:.17g}\n")
 
 
-def _geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Corner coordinates, areas, and barycentric gradients per triangle."""
-    corners = mesh.triangle_corners()
-    d1 = corners[:, 1] - corners[:, 0]
-    d2 = corners[:, 2] - corners[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    area = 0.5 * det
-    inv_det = 1.0 / det
-    grads = np.empty((len(corners), 3, 2))
-    grads[:, 1, 0] = d2[:, 1] * inv_det
-    grads[:, 1, 1] = -d2[:, 0] * inv_det
-    grads[:, 2, 0] = -d1[:, 1] * inv_det
-    grads[:, 2, 1] = d1[:, 0] * inv_det
-    grads[:, 0] = -grads[:, 1] - grads[:, 2]
-    return corners, area, grads
-
-
 def _basis_at_bary(bary: np.ndarray, family: str) -> np.ndarray:
     """Values of the three local basis functions at barycentric points."""
     if family == P1:
@@ -261,17 +246,15 @@ def _basis_at_bary(bary: np.ndarray, family: str) -> np.ndarray:
     return 1.0 - 2.0 * bary
 
 
+# The six upper-triangle entries (a, b) of a symmetric 3x3 element matrix.
 _LOCAL_PAIRS = np.array([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)])
+_PAIR_A, _PAIR_B = _LOCAL_PAIRS.T
 
 
-def _scatter(cell_dofs: np.ndarray, local: np.ndarray, n_dofs: int) -> SymSparse:
-    """Accumulate symmetric 3x3 element matrices into a SymSparse."""
-    a = _LOCAL_PAIRS[:, 0]
-    b = _LOCAL_PAIRS[:, 1]
-    rows = cell_dofs[:, a].ravel()
-    cols = cell_dofs[:, b].ravel()
-    vals = local[:, a, b].ravel()
-    return SymSparse.from_entries(n_dofs, rows, cols, vals)
+def _scatter(cell_dofs: np.ndarray, entries: np.ndarray, n_dofs: int) -> SymSparse:
+    """Accumulate element entries, one column per ``_LOCAL_PAIRS`` row."""
+    return SymSparse.from_entries(n_dofs, cell_dofs[:, _PAIR_A].ravel(),
+                                  cell_dofs[:, _PAIR_B].ravel(), entries.ravel())
 
 
 def _coefficient_values(coeff: CoefficientField, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -287,42 +270,64 @@ def _coefficient_values(coeff: CoefficientField, x: np.ndarray, y: np.ndarray) -
     return alpha, beta
 
 
+def _stiffness_entries(mesh: Mesh, family: str, coeff: CoefficientField) -> np.ndarray:
+    """The ``_LOCAL_PAIRS`` entries of every element matrix of ``a(u, v)``.
+
+    A function of its own so that its temporaries are freed before the scatter.
+    """
+    x = mesh.vertices[mesh.triangles, 0]
+    y = mesh.vertices[mesh.triangles, 1]
+    # Vertex q's two neighbours in cyclic order span the edge opposite q:
+    # quadrature point q is its midpoint, and the edge turned a quarter turn
+    # counterclockwise, over det, is the gradient of barycentric coordinate q.
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    alpha, beta = _coefficient_values(coeff, 0.5 * (x[:, nxt] + x[:, prv]),
+                                      0.5 * (y[:, nxt] + y[:, prv]))
+    gx = y[:, nxt] - y[:, prv]
+    gy = x[:, prv] - x[:, nxt]
+    det = gx[:, 1] * gy[:, 2] - gx[:, 2] * gy[:, 1]
+    w = (0.5 * det / 3.0)[:, None]
+    # The Crouzeix-Raviart basis functions are 1 - 2*lambda.
+    scale = ((-2.0 if family == CR else 1.0) / det)[:, None]
+    for g in (gx, gy):
+        g[:, 1:] *= scale
+        g[:, 0] = -(g[:, 1] + g[:, 2])  # barycentric coordinates sum to 1
+    # Gradients are constant per triangle: diffusion entries are (sum of
+    # w*alpha) * grad_a.grad_b.  In place: freed heap memory stays resident, so
+    # each extra (n_triangles, 6) temporary raises the peak RSS of a later solve.
+    s = (w * alpha).sum(axis=1)[:, None]
+    entries = gx[:, _PAIR_A]
+    entries *= s
+    entries *= gx[:, _PAIR_B]
+    cross = gy[:, _PAIR_A]
+    cross *= s
+    cross *= gy[:, _PAIR_B]
+    entries += cross
+    basis = _basis_at_bary(TRIANGLE_QUADRATURE_BARY, family)
+    entries += np.einsum("tq,qp->tp", w * beta, basis[:, _PAIR_A] * basis[:, _PAIR_B])
+    return entries
+
+
 def assemble_stiffness(mesh: Mesh, dofmap: DofMap,
                        coeff: CoefficientField = UNIT_COEFFICIENTS) -> SymSparse:
     """Assemble ``a(u, v)``, triangle by triangle.
 
     Returns the symmetric positive definite stiffness-plus-mass matrix of the
     form with diffusion ``alpha`` and reaction ``beta``.
+
+    Examples
+    --------
+    The level-2 square has 9 vertices and 16 edges, one stored entry each:
+
+    >>> from .mesh import DomainSpec, generate_mesh
+    >>> mesh = generate_mesh(DomainSpec("square"), 2)
+    >>> assemble_stiffness(mesh, build_dof_map(mesh, P1)).nnz
+    25
     """
-    corners, area, grads = _geometry(mesh)
-    if dofmap.family == CR:
-        grads = -2.0 * grads
-    quad = np.einsum("qc,tcd->tqd", TRIANGLE_QUADRATURE_BARY, corners)
-    alpha, beta = _coefficient_values(UNIT_COEFFICIENTS if coeff is None else coeff,
-                                      quad[..., 0], quad[..., 1])
-    w = area[:, None] / 3.0
-    # Gradients are constant per triangle, so the diffusion block is
-    # (sum of w*alpha) * G G^T; the reaction block needs the basis values.
-    grad_part = np.einsum("t,tad,tbd->tab", (w * alpha).sum(axis=1), grads, grads)
-    basis = _basis_at_bary(TRIANGLE_QUADRATURE_BARY, dofmap.family)
-    mass_part = np.einsum("tq,qa,qb->tab", w * beta, basis, basis)
-    return _scatter(dofmap.cell_dofs, grad_part + mass_part, dofmap.n_dofs)
+    entries = _stiffness_entries(mesh, dofmap.family, UNIT_COEFFICIENTS if coeff is None else coeff)
+    return _scatter(dofmap.cell_dofs, entries, dofmap.n_dofs)
 
 
-def _boundary_gauss_bary(local_edges: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of the edge Gauss points, shape (ne, 2, 3).
-
-    On local edge ``i`` the barycentric coordinate of vertex ``i`` vanishes;
-    the point at parameter ``t`` from the edge start has weight ``1 - t`` on
-    the start vertex and ``t`` on the end vertex.
-    """
-    ne = len(local_edges)
-    bary = np.zeros((ne, len(EDGE_GAUSS_POINTS), 3))
-    idx = np.arange(ne)
-    for g, t in enumerate(EDGE_GAUSS_POINTS):
-        bary[idx, g, EDGE_STARTS[local_edges]] = 1.0 - t
-        bary[idx, g, EDGE_ENDS[local_edges]] = t
-    return bary
 
 
 def assemble_boundary_mass(mesh: Mesh, dofmap: DofMap) -> SymSparse:
@@ -334,11 +339,11 @@ def assemble_boundary_mass(mesh: Mesh, dofmap: DofMap) -> SymSparse:
     b_tris = mesh.boundary_edges[:, 0]
     b_locals = mesh.boundary_edges[:, 1]
     lengths = mesh.boundary_edge_lengths()
-    bary = _boundary_gauss_bary(b_locals)  # (ne, 2, 3)
+    bary = EDGE_GAUSS_BARY[b_locals]  # (ne, 2, 3)
     traces = _basis_at_bary(bary.reshape(-1, 3), dofmap.family).reshape(bary.shape)
     w = lengths[:, None] * EDGE_GAUSS_WEIGHTS[None, :]
-    local = np.einsum("eg,ega,egb->eab", w, traces, traces)
-    return _scatter(dofmap.cell_dofs[b_tris], local, dofmap.n_dofs)
+    entries = np.einsum("egp,egp->ep", w[:, :, None] * traces[:, :, _PAIR_A], traces[:, :, _PAIR_B])
+    return _scatter(dofmap.cell_dofs[b_tris], entries, dofmap.n_dofs)
 
 
 def evaluate_fe_many(values: np.ndarray, dofmap: DofMap,

@@ -155,10 +155,6 @@ class Mesh:
     def n_boundary_edges(self) -> int:
         return len(self.boundary_edges)
 
-    def triangle_corners(self) -> np.ndarray:
-        """Corner coordinates of every triangle, shape (n_triangles, 3, 2)."""
-        return self.vertices[self.triangles]
-
     def boundary_edge_vertices(self) -> np.ndarray:
         """Directed endpoint indices of the boundary edges, shape (nb, 2)."""
         tris = self.boundary_edges[:, 0]

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ KINDS = ("square", "lshape", "slit")
 
 P1_STIFFNESS = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
 P1_MASS = (0.5 / 12.0) * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
+AFFINE_COEFFICIENTS = CoefficientField(alpha=affine(1.0, 0.5, 0.25), beta=affine(2.0, -0.5, 0.5))
 
 
 def alpha_part(mesh, dofmap):
@@ -46,6 +48,35 @@ def beta_part(mesh, dofmap):
     a2 = assemble_stiffness(mesh, dofmap, constant_coefficients(1.0, 2.0)).to_dense()
     a1 = assemble_stiffness(mesh, dofmap, constant_coefficients(1.0, 1.0)).to_dense()
     return a2 - a1
+
+
+def einsum_stiffness(mesh, dofmap, coeff):
+    """Oracle: full 3x3 element matrices from three-operand einsums."""
+    corners = mesh.vertices[mesh.triangles]
+    d1 = corners[:, 1] - corners[:, 0]
+    d2 = corners[:, 2] - corners[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    inv_det = 1.0 / det
+    grads = np.empty((len(corners), 3, 2))
+    grads[:, 1, 0] = d2[:, 1] * inv_det
+    grads[:, 1, 1] = -d2[:, 0] * inv_det
+    grads[:, 2, 0] = -d1[:, 1] * inv_det
+    grads[:, 2, 1] = d1[:, 0] * inv_det
+    grads[:, 0] = -grads[:, 1] - grads[:, 2]
+    bary = TRIANGLE_QUADRATURE_BARY
+    basis = bary
+    if dofmap.family == CR:
+        grads = -2.0 * grads
+        basis = 1.0 - 2.0 * bary
+    quad = np.einsum("qc,tcd->tqd", bary, corners)
+    alpha = coeff.alpha(quad[..., 0], quad[..., 1])
+    beta = coeff.beta(quad[..., 0], quad[..., 1])
+    w = (0.5 * det)[:, None] / 3.0
+    local = (np.einsum("t,tad,tbd->tab", (w * alpha).sum(axis=1), grads, grads)
+             + np.einsum("tq,qa,qb->tab", w * beta, basis, basis))
+    a, b = np.array([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]).T
+    return SymSparse.from_entries(dofmap.n_dofs, dofmap.cell_dofs[:, a].ravel(),
+                                  dofmap.cell_dofs[:, b].ravel(), local[:, a, b].ravel())
 
 
 class TestLocalMatrices:
@@ -175,6 +206,17 @@ class TestDofMap:
         expected = np.unique(dm.cell_dofs[mesh.boundary_edges[:, 0]].ravel())
         assert np.array_equal(dm.boundary_dofs, expected)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cr_edges_numbered_lexicographically(self, get_mesh, get_dofmap, kind):
+        mesh = get_mesh(kind, 8)
+        dm = get_dofmap(kind, 8, CR)
+        tris = mesh.triangles
+        heads, tails = tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]
+        keys = np.minimum(heads, tails) * mesh.n_vertices + np.maximum(heads, tails)
+        expected = np.searchsorted(np.unique(keys), keys)
+        assert dm.cell_dofs.dtype == expected.dtype
+        assert np.array_equal(dm.cell_dofs, expected)
+
     def test_p1_slit_duplicates_are_distinct_dofs(self, get_mesh, get_dofmap):
         mesh = get_mesh("slit", 4)
         dm = get_dofmap("slit", 4, P1)
@@ -246,7 +288,7 @@ class TestAssemblyInvariants:
         dm = get_dofmap("square", 2, P1)
         coeff = CoefficientField(alpha=affine(1.0, 2.0, 3.0), beta=affine(1e-9))
         a = assemble_stiffness(mesh, dm, coeff).to_dense()
-        corners = mesh.triangle_corners()
+        corners = mesh.vertices[mesh.triangles]
         manual = np.zeros_like(a)
         for t in range(mesh.n_triangles):
             c = corners[t]
@@ -262,12 +304,46 @@ class TestAssemblyInvariants:
         assert a == pytest.approx(manual, abs=1e-9)
 
 
+class TestSixEntryKernel:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("family", (P1, CR))
+    def test_identical_to_einsum_oracle_at_level_8(self, get_mesh, get_dofmap, kind, family):
+        mesh, dm = get_mesh(kind, 8), get_dofmap(kind, 8, family)
+        got = assemble_stiffness(mesh, dm, AFFINE_COEFFICIENTS)
+        want = einsum_stiffness(mesh, dm, AFFINE_COEFFICIENTS)
+        assert np.array_equal(got.rows, want.rows)
+        assert np.array_equal(got.cols, want.cols)
+        assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("level", (6, 10))
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("family", (P1, CR))
+    def test_matches_einsum_oracle_off_powers_of_two(self, get_mesh, get_dofmap, kind, family, level):
+        mesh, dm = get_mesh(kind, level), get_dofmap(kind, level, family)
+        got = assemble_stiffness(mesh, dm, AFFINE_COEFFICIENTS)
+        want = einsum_stiffness(mesh, dm, AFFINE_COEFFICIENTS)
+        assert np.array_equal(got.rows, want.rows)
+        assert np.array_equal(got.cols, want.cols)
+        assert np.abs(got.values - want.values).max() <= 1e-15 * np.abs(want.values).max()
+
+
 class TestCoefficientValidation:
     def test_alpha_must_be_positive(self, get_mesh, get_dofmap):
         mesh = get_mesh("square", 4)
         dm = get_dofmap("square", 4, P1)
         bad = CoefficientField(alpha=affine(0.2, -1.0, 0.0), beta=affine(1.0))
         with pytest.raises(InvalidCoefficientError, match="alpha"):
+            assemble_stiffness(mesh, dm, bad)
+
+    @pytest.mark.parametrize("family", (P1, CR))
+    def test_message_names_first_bad_quadrature_point(self, get_mesh, get_dofmap, family):
+        # alpha = 0.2 - x1 is smallest at every quadrature point on x1 = 1;
+        # the message names the first in (triangle, point) order.
+        mesh = get_mesh("lshape", 4)
+        dm = get_dofmap("lshape", 4, family)
+        bad = CoefficientField(alpha=affine(0.2, -1.0, 0.0), beta=affine(1.0))
+        expected = "coefficient alpha is -0.8 <= 0 at quadrature point (1, 0.125)"
+        with pytest.raises(InvalidCoefficientError, match=f"^{re.escape(expected)}$"):
             assemble_stiffness(mesh, dm, bad)
 
     def test_beta_must_be_positive(self, get_mesh, get_dofmap):
@@ -332,7 +408,7 @@ class TestEvaluate:
         values = dm.dof_points[:, 0]
         tris = np.array([0, 5, 11])
         bary = np.tile([0.2, 0.3, 0.5], (len(tris), 1))
-        points = np.einsum("tc,tcd->td", bary, mesh.triangle_corners()[tris])
+        points = np.einsum("tc,tcd->td", bary, mesh.vertices[mesh.triangles[tris]])
         assert evaluate_fe_many(values, dm, tris, bary) == pytest.approx(points[:, 0])
 
     def test_cr_reproduces_linears(self, get_mesh, get_dofmap):
@@ -341,7 +417,7 @@ class TestEvaluate:
         values = dm.dof_points[:, 0]
         tris = np.array([0, 7, 13])
         bary = np.tile([0.1, 0.6, 0.3], (len(tris), 1))
-        points = np.einsum("tc,tcd->td", bary, mesh.triangle_corners()[tris])
+        points = np.einsum("tc,tcd->td", bary, mesh.vertices[mesh.triangles[tris]])
         assert evaluate_fe_many(values, dm, tris, bary) == pytest.approx(points[:, 0])
 
     def test_hat_function_vanishes_at_opposite_midpoint(self, get_mesh, get_dofmap):

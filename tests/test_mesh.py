@@ -20,7 +20,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 def signed_areas(mesh):
-    c = mesh.triangle_corners()
+    c = mesh.vertices[mesh.triangles]
     d1 = c[:, 1] - c[:, 0]
     d2 = c[:, 2] - c[:, 0]
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
@@ -159,7 +159,7 @@ class TestBoundaryChain:
         ends = m.boundary_edge_vertices()
         tangent = m.vertices[ends[:, 1]] - m.vertices[ends[:, 0]]
         midpoints = 0.5 * (m.vertices[ends[:, 0]] + m.vertices[ends[:, 1]])
-        centroids = m.triangle_corners()[m.boundary_edges[:, 0]].mean(axis=1)
+        centroids = m.vertices[m.triangles[m.boundary_edges[:, 0]]].mean(axis=1)
         to_interior = centroids - midpoints
         cross = tangent[:, 0] * to_interior[:, 1] - tangent[:, 1] * to_interior[:, 0]
         assert (cross > 0).all()
@@ -240,7 +240,7 @@ class TestRefinement:
     @pytest.mark.parametrize("kind", KINDS)
     def test_children_geometrically_inside(self, get_mesh, kind):
         r = refine(get_mesh(kind, 2))
-        coarse_corners = r.coarse.triangle_corners()
+        coarse_corners = r.coarse.vertices[r.coarse.triangles]
         for f in range(r.fine.n_triangles):
             centroid = r.fine.vertices[r.fine.triangles[f]].mean(axis=0)
             bary = barycentric(coarse_corners[r.parent_of[f]], centroid)
@@ -276,8 +276,8 @@ class TestAncestorMap:
         coarse, fine = get_mesh(kind, 4), get_mesh(kind, 12)
         anc = ancestor_map(coarse, fine)
         assert (np.bincount(anc, minlength=coarse.n_triangles) == 9).all()
-        centroids = fine.triangle_corners().mean(axis=1)
-        corners = coarse.triangle_corners()[anc]
+        centroids = fine.vertices[fine.triangles].mean(axis=1)
+        corners = coarse.vertices[coarse.triangles[anc]]
         for c, p in zip(corners, centroids):
             assert barycentric(c, p).min() > -1e-12
 
