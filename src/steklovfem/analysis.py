@@ -6,6 +6,14 @@ finds its coarse ancestor by grid arithmetic (:func:`~.mesh.ancestor_map`),
 and all boundary quadrature runs on the fine partition (whose edges
 subdivide the coarse ones).  This keeps the error of the transfer itself at
 rounding level.
+
+The conforming reference (:func:`compute_reference`) is solved without a
+factor of its own level.  Its level is halved down to level 8 or the first
+level that cannot be halved; the P1 prolongations between these nested
+meshes, built from the same ancestor map and barycentric coordinates, carry
+a multigrid V-cycle that preconditions LOBPCG.  LOBPCG starts from the
+prolonged eigenvectors of a direct solve on the hierarchy level nearest an
+eighth of the reference level.
 """
 
 from __future__ import annotations
@@ -15,14 +23,17 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem
-from .eigen import DEFAULT_SEED, DEFAULT_TOL, Pencil, solve_pencil
+from .eigen import (DEFAULT_SEED, DEFAULT_TOL, EigenSolution, Pencil, _multigrid_eigenpairs,
+                    solve_pencil)
 from .fem import (P1, CoefficientField, DofMap, UNIT_COEFFICIENTS,
                   assemble_boundary_mass, assemble_stiffness, build_dof_map,
                   evaluate_fe_many)
 from .interp import as_point_function
-from .mesh import DomainSpec, Mesh, ancestor_map, edge_slit_sides, generate_mesh
+from .mesh import (DomainSpec, InvalidLevelError, Mesh, ancestor_map, edge_slit_sides,
+                   _validate_level, generate_mesh)
 
 __all__ = [
     "FeFunction",
@@ -52,6 +63,10 @@ REFERENCE_INTERVALS: dict[tuple[str, int], tuple[float, float]] = {
 }
 
 CLUSTER_GAP_TOL = 1e-8
+# Reference solves halve the level down to this one for the multigrid hierarchy,
+# and start from a direct solve on the hierarchy level nearest reference / ratio.
+MULTIGRID_COARSEST_LEVEL = 8
+MULTIGRID_START_RATIO = 8
 
 
 class AmbiguousAlignmentError(Exception):
@@ -150,6 +165,35 @@ def _bary_in_triangles(mesh: Mesh, tris: np.ndarray, points: np.ndarray) -> np.n
     l1 = (dp[..., 0] * d2[..., 1] - dp[..., 1] * d2[..., 0]) / det
     l2 = (d1[..., 0] * dp[..., 1] - d1[..., 1] * dp[..., 0]) / det
     return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
+
+
+def _prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
+    """The P1 prolongation from a coarse mesh to a nested fine one.
+
+    Row ``v`` holds the barycentric coordinates of fine vertex ``v`` in the
+    ancestor of a fine triangle around it, so a coarse P1 function's dof
+    values map to its fine interpolant.  Ancestors never straddle the slit,
+    so each slit side takes its values from its own side.
+
+    Examples
+    --------
+    >>> from .mesh import DomainSpec
+    >>> slit = DomainSpec("slit")
+    >>> p = _prolongation(generate_mesh(slit, 4), generate_mesh(slit, 8))
+    >>> p.shape, int(np.diff(p.indptr).max())
+    ((85, 27), 2)
+    """
+    owner = np.empty(fine.n_vertices, dtype=np.int64)
+    owner[fine.triangles.ravel()] = np.repeat(np.arange(fine.n_triangles), 3)
+    tris = ancestor_map(coarse, fine)[owner]
+    # Fine grid points have barycentrics in multiples of 1/r: round off the noise.
+    r = fine.level // coarse.level
+    bary = np.rint(_bary_in_triangles(coarse, tris, fine.vertices) * r) / r
+    p = sp.csr_matrix((bary.ravel(), coarse.triangles[tris].ravel(),
+                       np.arange(0, bary.size + 1, 3)),
+                      shape=(fine.n_vertices, coarse.n_vertices))
+    p.eliminate_zeros()
+    return p
 
 
 def _paired_boundary_values(u: FeFunction, ref) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -262,16 +306,58 @@ def _solve_level(mesh: Mesh, family: str, coeff: CoefficientField,
     return dofmap, solve_pencil(pencil, k, tol=tol, seed=seed)
 
 
+def _multigrid_levels(domain: DomainSpec, level: int) -> list[int]:
+    """The reference level, then its halvings while they are valid levels >= 8."""
+    levels = [level]
+    while levels[-1] % 2 == 0 and levels[-1] // 2 >= MULTIGRID_COARSEST_LEVEL:
+        try:
+            _validate_level(domain, levels[-1] // 2)
+        except InvalidLevelError:
+            break
+        levels.append(levels[-1] // 2)
+    return levels
+
+
+def _solve_reference(mesh: Mesh, coeff: CoefficientField, k: int, tol: float,
+                     seed: int) -> tuple[DofMap, EigenSolution]:
+    """P1 dof map and ``k`` smallest eigenpairs on a reference mesh, no factor at its level.
+
+    The stiffness matrix is SPD by construction, so a multigrid hierarchy
+    of halved levels preconditions LOBPCG, started from the prolonged
+    eigenvectors of a direct solve at the level nearest an eighth of the
+    reference (the two-grid idea of Xu & Zhou, Math. Comp. 70, 2001).  A
+    reference level that cannot be halved is solved directly.
+    """
+    levels = _multigrid_levels(mesh.domain, mesh.level)
+    if len(levels) == 1:
+        return _solve_level(mesh, P1, coeff, k, tol, seed)
+    dofmap = build_dof_map(mesh, P1)
+    # Only the CSR forms are kept: the upper-triangle triplets are freed here.
+    a_csr = assemble_stiffness(mesh, dofmap, coeff).to_csr()
+    b_csr = assemble_boundary_mass(mesh, dofmap).to_csr()
+    meshes = [mesh] + [generate_mesh(mesh.domain, lvl) for lvl in levels[1:]]
+    prolongations = [_prolongation(coarse, fine) for fine, coarse in zip(meshes, meshes[1:])]
+    target = mesh.level / MULTIGRID_START_RATIO
+    start_index = int(np.argmin([abs(lvl - target) for lvl in levels]))
+    start = _solve_level(meshes[start_index], P1, coeff, k + 1, tol, seed)[1].eigenvectors
+    del meshes
+    for p in reversed(prolongations[:start_index]):
+        start = p @ start
+    return dofmap, _multigrid_eigenpairs(a_csr, b_csr, prolongations, start, k, tol)
+
+
 def compute_reference(domain: DomainSpec, level: int, eig_index: int = 2,
                       coeff: CoefficientField = UNIT_COEFFICIENTS,
                       tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> ReferenceSolution:
     """Solve the conforming P1 problem on the reference mesh.
 
-    The eigenfunction sign is normalized so that its largest-magnitude
-    boundary dof value is positive, making the reference deterministic.
+    The solve factors no matrix of the reference level (see
+    :func:`_solve_reference`).  The eigenfunction sign is normalized so
+    that its largest-magnitude boundary dof value is positive, making the
+    reference deterministic.
     """
     mesh = generate_mesh(domain, level)
-    dofmap, sol = _solve_level(mesh, P1, coeff, eig_index + 1, tol, seed)
+    dofmap, sol = _solve_reference(mesh, coeff, eig_index + 1, tol, seed)
     values = sol.eigenvectors[:, eig_index - 1].copy()
     bvals = values[dofmap.boundary_dofs]
     if bvals[np.argmax(np.abs(bvals))] < 0.0:

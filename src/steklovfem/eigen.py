@@ -10,11 +10,21 @@ Rayleigh-Ritz sweeps of inverse subspace iteration until every residual meets
 the tolerance.  Both stages apply ``A^{-1}`` through one sparse factorization.
 The kernel of ``B`` corresponds to ``mu = 0`` and never mixes into the
 dominant subspace, so no deflation is needed.
+
+Reference solves on fine P1 meshes factor no matrix of their own level, so
+their memory stays linear in the number of dofs.  LOBPCG (Knyazev, SIAM J.
+Sci. Comput. 23, 2001), preconditioned by a geometric multigrid V-cycle and
+started from prolonged coarse eigenvectors, finds the dominant subspace;
+the same Rayleigh-Ritz sweeps then enforce the tolerance, applying
+``A^{-1}`` by V-cycle-preconditioned conjugate gradients in place of the
+factor.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -40,6 +50,11 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 DEFAULT_SEED = 1729
 MAX_SWEEPS = 500
+# Multigrid reference solves (see _multigrid_eigenpairs).
+JACOBI_DAMPING = 0.8
+LOBPCG_MAXITER = 20
+PCG_RTOL = 1e-13
+MULTIGRID_MAX_SWEEPS = 4
 DENSE_ORACLE_MAX_DIM = 3000
 
 
@@ -178,14 +193,27 @@ def solve_pencil(pencil: Pencil, k: int, tol: float = DEFAULT_TOL,
     a_csr = pencil.a.to_csr()
     b_csr = pencil.b.to_csr()
 
-    x = _start_block(factor, a_csr, b_csr, k, np.random.default_rng(seed))
+    z = factor.solve(b_csr @ _start_block(factor, a_csr, b_csr, k, np.random.default_rng(seed)))
+    return _rayleigh_ritz_sweeps(a_csr, b_csr, z, k, tol, factor.solve, max_sweeps)
 
+
+def _rayleigh_ritz_sweeps(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix, z: np.ndarray, k: int,
+                          tol: float, a_inv: Callable[[np.ndarray], np.ndarray],
+                          max_sweeps: int) -> EigenSolution:
+    """Rayleigh-Ritz on ``span(z)``, then inverse subspace iteration until converged.
+
+    Each sweep after the first replaces the block by ``a_inv(B u)``, where
+    ``a_inv`` applies ``A^{-1}`` to a block of columns, and projects again;
+    the loop returns as soon as every requested pair reaches the relative
+    residual tolerance.
+    """
     eigenvalues = np.full(k, np.nan)
-    vectors = np.zeros((n, k))
     residuals = np.full(k, np.inf)
+    x = z
 
-    for _ in range(max_sweeps):
-        z = factor.solve(b_csr @ x)
+    for sweep in range(max_sweeps):
+        if sweep:
+            z = a_inv(b_csr @ x)
         az = a_csr @ z
         a_small = _sym(z.T @ az)
         s, q = sla.eigh(a_small)
@@ -211,7 +239,7 @@ def solve_pencil(pencil: Pencil, k: int, tol: float = DEFAULT_TOL,
         au = a_csr @ cand
         bu = b_csr @ cand
         res = np.linalg.norm(au - bu * lam, axis=0) / np.linalg.norm(au, axis=0)
-        eigenvalues, vectors, residuals = lam, cand, res
+        eigenvalues, residuals = lam, res
         if (res <= tol).all():
             return EigenSolution(eigenvalues=lam.copy(), eigenvectors=cand.copy(),
                                  residual_norms=res.copy())
@@ -219,6 +247,84 @@ def solve_pencil(pencil: Pencil, k: int, tol: float = DEFAULT_TOL,
     raise ConvergenceFailureError(
         f"subspace iteration did not reach tol={tol:g} in {max_sweeps} sweeps "
         f"(worst residual {residuals.max():g})", eigenvalues, residuals)
+
+
+class _VCycle:
+    """A symmetric multigrid V-cycle for ``A x = r`` on nested P1 spaces.
+
+    ``prolongations[l]`` maps level ``l + 1`` into level ``l``, finest
+    first.  Coarse matrices are the Galerkin products ``P^T A P``, each
+    level smooths with one damped-Jacobi step before and one after its
+    coarse correction, and the coarsest level is solved through
+    :func:`factorize_spd`, so the cycle is a symmetric positive definite
+    approximation of ``A^{-1}``.  It applies to a vector or a block of
+    columns.
+    """
+
+    def __init__(self, a_csr: sp.csr_matrix, prolongations: list[sp.csr_matrix]):
+        self.levels = []
+        for p in prolongations:
+            restriction = p.T.tocsr()
+            weights = (JACOBI_DAMPING / a_csr.diagonal())[:, None]
+            self.levels.append((a_csr, weights, p, restriction))
+            a_csr = (restriction @ a_csr @ p).tocsr()
+        upper = sp.triu(a_csr).tocoo()
+        self.coarse = factorize_spd(
+            SymSparse.from_entries(a_csr.shape[0], upper.row, upper.col, upper.data))
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        shape = r.shape
+        r = r.reshape(shape[0], -1)
+        pre = []
+        for a, weights, _, restriction in self.levels:
+            x = weights * r
+            pre.append((r, x))
+            r = restriction @ (r - a @ x)
+        x = self.coarse.solve(r)
+        for (a, weights, p, _), (r, x_pre) in zip(reversed(self.levels), reversed(pre)):
+            x = x_pre + p @ x
+            x += weights * (r - a @ x)
+        return x.reshape(shape)
+
+
+def _multigrid_eigenpairs(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix,
+                          prolongations: list[sp.csr_matrix], start: np.ndarray, k: int,
+                          tol: float) -> EigenSolution:
+    """The ``k`` smallest eigenpairs of ``A u = lambda B u``, SPD ``A`` left unfactored.
+
+    LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) on ``B x = mu A x``,
+    preconditioned by a :class:`_VCycle` over ``prolongations`` and started
+    from the block ``start`` (at least ``k`` columns, typically prolonged
+    coarse eigenvectors), finds the dominant subspace.  LOBPCG bounds the
+    absolute residual ``|B x - mu A x|`` of ``A``-normalized columns, which
+    is about the relative residual times ``|B x|``, so its tolerance is
+    ``tol`` times the smallest ``|B x|`` of the start block.  The
+    Rayleigh-Ritz sweeps of :func:`solve_pencil` then enforce ``tol``,
+    applying ``A^{-1}`` by V-cycle-preconditioned conjugate gradients; they
+    iterate only while a residual exceeds ``tol``.
+
+    Raises
+    ------
+    ConvergenceFailureError
+        If the residuals do not reach ``tol`` within
+        ``MULTIGRID_MAX_SWEEPS`` sweeps.
+    """
+    vcycle = _VCycle(a_csr, prolongations)
+    a_norms = np.sqrt(np.einsum("ij,ij->j", start, a_csr @ start))
+    lobpcg_tol = tol * (np.linalg.norm(b_csr @ start, axis=0) / a_norms).min()
+    with warnings.catch_warnings():
+        # Stagnating above lobpcg_tol is expected near round-off; the sweeps decide.
+        warnings.filterwarnings("ignore", message="Exited", category=UserWarning)
+        _, x = spla.lobpcg(b_csr, start, B=a_csr, M=vcycle, tol=lobpcg_tol,
+                           maxiter=LOBPCG_MAXITER, largest=True)
+    precond = spla.LinearOperator(a_csr.shape, matvec=vcycle, dtype=float)
+
+    def a_inv(rhs: np.ndarray) -> np.ndarray:
+        # A CG run that stops short only leaves a larger residual, which the sweeps check.
+        return np.column_stack([spla.cg(a_csr, col, rtol=PCG_RTOL, M=precond)[0]
+                                for col in rhs.T])
+
+    return _rayleigh_ritz_sweeps(a_csr, b_csr, x, k, tol, a_inv, MULTIGRID_MAX_SWEEPS)
 
 
 def dense_oracle(pencil: Pencil, k: int) -> EigenSolution:

@@ -279,7 +279,7 @@ def generate_mesh(domain: DomainSpec, level: int) -> Mesh:
     square_to_tri[sq_i, sq_j, 0] = np.arange(0, 2 * n_squares, 2)
     square_to_tri[sq_i, sq_j, 1] = np.arange(1, 2 * n_squares, 2)
 
-    boundary_edges = _ordered_boundary(domain, vertices, triangles)
+    boundary_edges = _ordered_boundary(domain, vertices, triangles, square_to_tri)
 
     return Mesh(
         domain=domain,
@@ -294,23 +294,35 @@ def generate_mesh(domain: DomainSpec, level: int) -> Mesh:
     )
 
 
-def _ordered_boundary(domain: DomainSpec, vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Find boundary edges and chain them CCW starting from (0, 0)."""
-    nv = len(vertices)
-    heads = triangles[:, [1, 2, 0]].ravel()
-    tails = triangles[:, [2, 0, 1]].ravel()
-    lo = np.minimum(heads, tails)
-    hi = np.maximum(heads, tails)
-    keys = lo * nv + hi
-    uniq, counts = np.unique(keys, return_counts=True)
-    boundary_keys = uniq[counts == 1]
-    sorter = np.argsort(keys, kind="stable")
-    flat = sorter[np.searchsorted(keys, boundary_keys, sorter=sorter)]
+def _ordered_boundary(domain: DomainSpec, vertices: np.ndarray, triangles: np.ndarray,
+                      square_to_tri: np.ndarray) -> np.ndarray:
+    """Find boundary edges and chain them CCW starting from (0, 0).
+
+    A lower triangle's right and bottom edges and an upper triangle's top
+    and left edges lie on the boundary when no grid square sits behind
+    them; the diagonals never do.  The slit adds the bottom edges of the
+    squares just above it and the top edges of those just below.
+    """
+    n = square_to_tri.shape[0]
+    lower, upper = square_to_tri[..., 0], square_to_tri[..., 1]
+    present = np.pad(lower >= 0, 1)  # square (i, j) at [i + 1, j + 1]
+    inside = present[1:-1, 1:-1]
+    open_right, open_left = ~present[2:, 1:-1], ~present[:-2, 1:-1]
+    open_top, open_bottom = ~present[1:-1, 2:], ~present[1:-1, :-2]
+    if domain.kind == "slit":
+        half = n // 2
+        open_bottom[half:, half] = True
+        open_top[half:, half - 1] = True
+    # Flat edge ids 3 * triangle + local edge; local edge i is opposite vertex i.
+    flat = np.concatenate([3 * lower[inside & open_right],
+                           3 * lower[inside & open_bottom] + 2,
+                           3 * upper[inside & open_top],
+                           3 * upper[inside & open_left] + 1])
 
     tri_idx = flat // 3
     local_idx = flat % 3
-    starts = heads[flat]
-    stops = tails[flat]
+    starts = triangles[tri_idx, EDGE_STARTS[local_idx]]
+    stops = triangles[tri_idx, EDGE_ENDS[local_idx]]
 
     next_edge: dict[int, int] = {}
     for pos, a in enumerate(starts):

@@ -15,7 +15,6 @@ import math
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,12 +26,12 @@ from steklovfem import (
     NotPositiveDefiniteError,
     P1,
     Pencil,
-    ReferenceSolution,
     ReferenceSpec,
     assemble_boundary_mass,
     assemble_stiffness,
     boundary_l2_error,
     build_dof_map,
+    compute_reference,
     convergence_ratio,
     dense_oracle,
     factorize_spd,
@@ -62,41 +61,28 @@ def _gate(report, criterion: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="session")
-def studies(tmp_path_factory):
+def studies():
     """Bracket-reference convergence tables for the two concave domains.
 
     P1 studies run levels 8..128 and CR studies 8..64: the reference trace
     is a conforming eigenfunction, so a nonconforming study's boundary
     errors bottom out at the reference's own error, and keeping the finest
     CR level four halvings below the reference keeps that floor negligible
-    next to the measured error.  Each level-1024 reference is computed in a
-    fresh process (see _ref_worker.py) and released once its domain's
-    tables are built.
+    next to the measured error.  Both level-1024 references are computed in
+    this process: their multigrid solves factor no level-1024 matrix, and
+    each peaks below 1.2 GB of RSS.
     """
-    worker = Path(__file__).with_name("_ref_worker.py")
-    outdir = tmp_path_factory.mktemp("reference_1024")
     spec = ReferenceSpec(mode="bracket", level=REFERENCE_LEVEL)
     tables = {}
     for kind in ("lshape", "slit"):
-        out = outdir / f"{kind}.npz"
-        proc = subprocess.run(
-            [sys.executable, str(worker), kind, str(REFERENCE_LEVEL), "2", str(out)],
-            capture_output=True, text=True, timeout=600)
-        if proc.returncode != 0:
-            pytest.fail(f"reference worker failed on {kind}:\n{proc.stderr}")
-        data = np.load(out)
-        mesh = generate_mesh(DomainSpec(kind), REFERENCE_LEVEL)
-        reference = ReferenceSolution(
-            domain=DomainSpec(kind), level=REFERENCE_LEVEL, eig_index=2,
-            fn=FeFunction(mesh, build_dof_map(mesh, P1), data["values"]),
-            lambda_h=float(data["lambda_h"]))
+        reference = compute_reference(DomainSpec(kind), REFERENCE_LEVEL, 2)
         for family, top in ((P1, 128), (CR, 64)):
             levels = [8, 16, 32, 64, 128]
             levels = levels[: levels.index(top) + 1]
             tables[kind, family] = run_convergence_study(
                 DomainSpec(kind), family, levels,
                 reference=spec, reference_solution=reference)
-        del reference, mesh, data
+        del reference
     return tables
 
 

@@ -27,7 +27,7 @@ from steklovfem import (
     solve_pencil,
     transfer_reference,
 )
-from steklovfem.analysis import _richardson_fit
+from steklovfem.analysis import _prolongation, _richardson_fit
 
 from _utils import GAUSS2, boundary_edge_data, boundary_error_brute, eval_fe_brute
 
@@ -197,6 +197,33 @@ class TestTransfer:
         stranger = p1_interpolant(get_mesh("square", 8), lambda x, y: x)
         with pytest.raises(ValueError, match="different mesh"):
             boundary_l2_error(stranger, trace)
+
+
+class TestProlongation:
+    @pytest.mark.parametrize("kind", ("square", "lshape", "slit"))
+    @pytest.mark.parametrize("coarse_level, fine_level", ((8, 16), (8, 24), (16, 64)))
+    def test_linear_functions_transfer_exactly(self, get_mesh, kind, coarse_level, fine_level):
+        coarse, fine = get_mesh(kind, coarse_level), get_mesh(kind, fine_level)
+        p = _prolongation(coarse, fine)
+        f = lambda v: 1.0 + 2.0 * v[:, 0] - 3.0 * v[:, 1]
+        assert p @ f(coarse.vertices) == pytest.approx(f(fine.vertices), abs=1e-14)
+        assert p.sum(axis=1).A1 == pytest.approx(1.0, abs=1e-15)
+        assert np.diff(p.indptr).max() <= 3
+
+    @pytest.mark.parametrize("coarse_level, fine_level", ((8, 16), (8, 24)))
+    def test_slit_jump_keeps_both_sides(self, get_mesh, coarse_level, fine_level):
+        # (x1 - 1/2)_+ with opposite signs above and below the slit: linear on
+        # every triangle, discontinuous only across the slit.
+        def jump(mesh):
+            x, y = mesh.vertices.T
+            above = (y > 0.5) | (mesh.vertex_slit_side > 0)
+            return np.where(above, 1.0, -1.0) * np.maximum(x - 0.5, 0.0)
+
+        coarse, fine = get_mesh("slit", coarse_level), get_mesh("slit", fine_level)
+        on_slit = fine.vertex_slit_side != 0
+        values = _prolongation(coarse, fine) @ jump(coarse)
+        assert values == pytest.approx(jump(fine), abs=1e-14)
+        assert np.abs(values[on_slit]).min() > 0.0
 
 
 class TestBoundaryL2Error:

@@ -7,19 +7,24 @@ import scipy.sparse.linalg as spla
 
 from steklovfem import (
     CR,
+    CoefficientField,
     ConvergenceFailureError,
+    DomainSpec,
     NotPositiveDefiniteError,
     P1,
     Pencil,
     SymSparse,
+    UNIT_COEFFICIENTS,
+    affine,
     assemble_boundary_mass,
     assemble_stiffness,
+    compute_reference,
     constant_coefficients,
     dense_oracle,
     factorize_spd,
     solve_pencil,
 )
-from steklovfem import eigen
+from steklovfem import analysis, eigen
 from steklovfem.eigen import DEFAULT_TOL, DENSE_ORACLE_MAX_DIM, SpdFactor
 
 
@@ -264,3 +269,56 @@ class TestSolvePencilFem:
         p1 = solve_pencil(get_pencil(kind, 8, P1), 2).eigenvalues[1]
         cr = solve_pencil(get_pencil(kind, 8, CR), 2).eigenvalues[1]
         assert cr < p1
+
+
+class TestMultigridReference:
+    """The factor-free reference solve against the direct one on the same pencil."""
+
+    @pytest.mark.parametrize("kind, level", (("lshape", 32), ("slit", 64), ("square", 128),
+                                             ("lshape", 256), ("slit", 256), ("slit", 6)))
+    @pytest.mark.parametrize("coeff", (UNIT_COEFFICIENTS,
+                                       CoefficientField(alpha=affine(1.0, 0.5, 0.25),
+                                                        beta=affine(2.0, -0.5, 0.5))),
+                             ids=("unit", "affine"))
+    def test_matches_direct_solve(self, get_mesh, get_dofmap, kind, level, coeff):
+        mesh, dm = get_mesh(kind, level), get_dofmap(kind, level, P1)
+        _, sol = analysis._solve_reference(mesh, coeff, 3, DEFAULT_TOL, eigen.DEFAULT_SEED)
+        pencil = Pencil(assemble_stiffness(mesh, dm, coeff), assemble_boundary_mass(mesh, dm))
+        direct = solve_pencil(pencil, 3)
+        assert sol.eigenvalues == pytest.approx(direct.eigenvalues, rel=1e-10)
+        assert (sol.residual_norms <= DEFAULT_TOL).all()
+        u, v = sol.eigenvectors, direct.eigenvectors
+        signs = np.sign(np.einsum("ij,ij->j", u, pencil.b @ v))
+        assert np.abs(u * signs - v).max() <= 1e-8
+
+    def test_no_factor_of_the_reference_dimension(self, monkeypatch):
+        # Also, no factor outlives the solve without the cyclic collector.
+        factorize, dimensions, factors = eigen.factorize_spd, [], []
+
+        def tracked(matrix):
+            dimensions.append(matrix.dimension)
+            factor = factorize(matrix)
+            factors.append(weakref.ref(factor))
+            return factor
+
+        monkeypatch.setattr(eigen, "factorize_spd", tracked)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ref = compute_reference(DomainSpec("lshape"), 64)
+            assert dimensions and max(dimensions) < ref.fn.dofmap.n_dofs
+            assert all(f() is None for f in factors)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_unreachable_tolerance_raises(self, get_mesh, get_pencil):
+        fine, coarse = get_mesh("lshape", 16), get_mesh("lshape", 8)
+        p = analysis._prolongation(coarse, fine)
+        start = p @ solve_pencil(get_pencil("lshape", 8, P1), 3).eigenvectors
+        pencil = get_pencil("lshape", 16, P1)
+        with pytest.raises(ConvergenceFailureError) as excinfo:
+            eigen._multigrid_eigenpairs(pencil.a.to_csr(), pencil.b.to_csr(), [p], start, 2,
+                                        tol=1e-300)
+        assert excinfo.value.eigenvalues.shape == (2,)
+        assert (excinfo.value.residuals > 1e-300).all()
