@@ -126,12 +126,18 @@ class TransferredTrace:
     multiple of the coarse level; errors against coarse functions integrate
     on the fine boundary partition, evaluating the coarse function in each
     fine triangle's ancestor.  Ancestors come from grid arithmetic, with no
-    geometric search.
+    geometric search.  The fine boundary quadrature and the reference trace
+    values on it are set up once, here, and shared by every error and sign
+    alignment against this trace.
     """
 
     fn: FeFunction
     coarse_mesh: Mesh
     ancestor: np.ndarray = field(init=False, repr=False)
+    _weights: np.ndarray = field(init=False, repr=False)
+    _points: np.ndarray = field(init=False, repr=False)
+    _coarse_tris: np.ndarray = field(init=False, repr=False)
+    _values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         fine = self.fn.mesh
@@ -141,6 +147,9 @@ class TransferredTrace:
                 f"{fine.domain.kind} level {fine.level} does not refine "
                 f"{self.coarse_mesh.domain.kind} level {self.coarse_mesh.level}")
         self.ancestor = ancestor_map(self.coarse_mesh, fine)
+        tris, bary, self._weights, self._points, _ = _boundary_gauss(fine)
+        self._coarse_tris = self.ancestor[tris]
+        self._values = _trace_values(self.fn, tris[:, None], bary)
 
 
 def transfer_reference(fn: FeFunction, coarse_mesh: Mesh) -> TransferredTrace:
@@ -207,13 +216,10 @@ def _paired_boundary_values(u: FeFunction, ref) -> tuple[np.ndarray, np.ndarray,
         coarse = ref.coarse_mesh
         if u.mesh.level != coarse.level or u.mesh.domain.kind != coarse.domain.kind:
             raise ValueError("function lives on a different mesh than the transferred trace")
-        fine = ref.fn.mesh
-        tris, bary, weights, points, _ = _boundary_gauss(fine)
-        ref_vals = _trace_values(ref.fn, tris[:, None], bary)
-        coarse_tris = ref.ancestor[tris]
-        coarse_bary = _bary_in_triangles(u.mesh, coarse_tris[:, None], points)
-        u_vals = evaluate_fe_many(u.values, u.dofmap, coarse_tris[:, None], coarse_bary)
-        return weights, u_vals, ref_vals
+        coarse_tris = ref._coarse_tris[:, None]
+        coarse_bary = _bary_in_triangles(u.mesh, coarse_tris, ref._points)
+        u_vals = evaluate_fe_many(u.values, u.dofmap, coarse_tris, coarse_bary)
+        return ref._weights, u_vals, ref._values
     if isinstance(ref, FeFunction):
         if u.mesh.level != ref.mesh.level or u.mesh.domain.kind != ref.mesh.domain.kind:
             raise ValueError("functions live on different meshes; transfer one first")

@@ -1,15 +1,17 @@
 """Generalized eigensolvers for the pencil ``A u = lambda B u``.
 
 ``A`` is symmetric positive definite, ``B`` symmetric positive semidefinite
-with a large kernel (only boundary dofs couple), so the small eigenvalues of
-the pencil are the reciprocals of the large eigenvalues of ``A^{-1} B``.
-The iterative solver finds that dominant subspace with implicitly restarted
+and supported on the few boundary dofs, so the finite eigenpairs are those
+of the boundary pencil ``S x = lambda B_bb x``, where ``S`` is the Schur
+complement of ``A`` on the boundary dofs (the discrete Poincare-Steklov, or
+Dirichlet-to-Neumann, map) and ``B_bb`` the boundary block of ``B``.  The
+iterative solver finds the ``k`` smallest of them with implicitly restarted
 Lanczos (ARPACK, see Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM
-1998) on ``A^{-1} B`` in the ``A`` inner product, then polishes it with
-Rayleigh-Ritz sweeps of inverse subspace iteration until every residual meets
-the tolerance.  Both stages apply ``A^{-1}`` through one sparse factorization.
-The kernel of ``B`` corresponds to ``mu = 0`` and never mixes into the
-dominant subspace, so no deflation is needed.
+1998) in shift-invert mode on that boundary pencil, with vectors of boundary
+length only, then polishes the harmonic extensions of its vectors with
+Rayleigh-Ritz sweeps of inverse subspace iteration on the full pencil until
+every residual meets the tolerance.  Both stages apply ``A^{-1}`` through
+one sparse factorization, and neither forms ``S``.
 
 Reference solves on fine P1 meshes factor no matrix of their own level, so
 their memory stays linear in the number of dofs.  LOBPCG (Knyazev, SIAM J.
@@ -140,38 +142,74 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _start_block(factor: SpdFactor, a_csr: sp.csr_matrix, b_csr: sp.csr_matrix, k: int,
+def _start_block(factor: SpdFactor, b_csr: sp.csr_matrix, k: int,
                  rng: np.random.Generator) -> np.ndarray:
-    """Start block of the sweeps: the ``k`` dominant eigenvectors of ``A^{-1} B``.
+    """Start block of the sweeps: ``k`` dominant eigenvectors of ``A^{-1} B``, on the boundary.
 
-    Lanczos (``eigsh``) on ``B x = mu A x`` in the ``A`` inner product,
-    applying ``A^{-1}`` through ``factor.solve``; its start vector and any
-    restart vector come from ``rng``, so the block is deterministic.  For
-    ``k >= n - 1`` the Lanczos basis would span the whole space, so the block
-    is a full Gaussian one, which the first sweep resolves exactly.  If
-    Lanczos stops short, the vectors it did converge are kept and filled up
-    with Gaussian columns to ``k + 3``: the sweeps are then plain subspace
-    iteration, and the three guard columns keep it converging when
-    ``lambda_k`` and ``lambda_{k+1}`` are close.
+    The ``nb`` boundary dofs are the rows of ``B`` that hold entries.  With
+    ``R`` the restriction to them, ``S^{-1} = R A^{-1} R^T`` applies through
+    ``factor.solve`` on a scattered vector.  Lanczos runs in ARPACK's
+    shift-invert mode (mode 3, shift 0) on ``S x = lambda B_bb x``: it applies
+    ``S^{-1}`` and ``B_bb``, never ``S`` or ``A``, orthogonalizes vectors of
+    length ``nb`` instead of ``n``, and returns the smallest ``lambda``
+    (spectral transformation Lanczos: Ericsson & Ruhe, Math. Comp. 35, 1980;
+    Nour-Omid, Parlett, Ericsson & Jensen, Math. Comp. 48, 1987).  The block
+    is zero-padded to ``n`` rows; the caller's ``A^{-1} B`` maps it to the
+    ``A``-harmonic extensions, which span the Krylov space of Lanczos on
+    ``A^{-1} B`` itself.
+
+    For Crouzeix-Raviart elements ``B_bb`` is only semidefinite, and Lanczos
+    in a semidefinite inner product loses orthogonality once many Ritz pairs
+    converge (on slit CR level 64 with ``k = 48`` it returned negative
+    ``lambda`` from every start).  ``B_bb`` therefore enters with its
+    diagonal raised by one rounding unit, which makes the inner product
+    definite and changes the pencil by no more than its own rounding.  Its
+    kernel still carries only an inner product of rounding size, and a
+    Krylov space that exhausts the range of ``B_bb`` turns to it (on CR
+    levels 4 to 8 this broke Lanczos from ``2k + 1 >= 0.56 nb`` on).  So when
+    the ``2k + 1`` Lanczos vectors would fill a third of the boundary space
+    or more, the block is a full Gaussian one on the boundary dofs, which
+    the first sweep resolves exactly.
+
+    The start vector and any restart vector come from ``rng``, so the block
+    is deterministic.  If Lanczos stops short, the vectors it did converge
+    are kept and filled up with Gaussian columns to ``k + 3``: the sweeps
+    are then plain subspace iteration, and the three guard columns keep it
+    converging when ``lambda_k`` and ``lambda_{k+1}`` are close.
     """
-    n = a_csr.shape[0]
-    if k >= n - 1:
-        return rng.standard_normal((n, n))
-    a_inv = spla.LinearOperator((n, n), matvec=factor.solve, dtype=float)
-    try:
-        return spla.eigsh(b_csr, k, M=a_csr, Minv=a_inv, which="LA",
-                          v0=rng.standard_normal(n), rng=rng)[1]
-    except spla.ArpackNoConvergence as exc:
-        found = exc.eigenvectors
-    return np.hstack([found, rng.standard_normal((n, min(k + 3, n) - found.shape[1]))])
+    n = b_csr.shape[0]
+    bd = np.flatnonzero(np.diff(b_csr.indptr))
+    nb = bd.size
+    if nb <= 3 * (2 * k + 1):
+        block = rng.standard_normal((nb, nb))
+    else:
+        def schur_inv(r: np.ndarray) -> np.ndarray:
+            x = np.zeros(n)
+            x[bd] = r
+            return factor.solve(x)[bd]
+
+        b_bb = b_csr[bd][:, bd]
+        b_bb = b_bb + sp.diags(np.finfo(float).eps * b_bb.diagonal())
+        # Mode 3 never applies S: it reads only the shape of its first argument.
+        schur = spla.LinearOperator((nb, nb), matvec=None, dtype=float)
+        try:
+            block = spla.eigsh(schur, k, M=b_bb, sigma=0.0, which="LM",
+                               OPinv=spla.LinearOperator((nb, nb), matvec=schur_inv, dtype=float),
+                               v0=rng.standard_normal(nb), rng=rng)[1]
+        except spla.ArpackNoConvergence as exc:
+            found = exc.eigenvectors
+            block = np.hstack([found, rng.standard_normal((nb, k + 3 - found.shape[1]))])
+    lifted = np.zeros((n, block.shape[1]))
+    lifted[bd] = block
+    return lifted
 
 
 def solve_pencil(pencil: Pencil, k: int, tol: float = DEFAULT_TOL,
                  seed: int = DEFAULT_SEED, max_sweeps: int = MAX_SWEEPS) -> EigenSolution:
     """Compute the ``k`` smallest eigenpairs of ``A u = lambda B u``.
 
-    Lanczos on ``A^{-1} B``, started from a fixed-seed Gaussian vector,
-    gives a block of ``k`` vectors; Rayleigh-Ritz sweeps of inverse subspace
+    Lanczos on the boundary dofs, started from a fixed-seed Gaussian
+    vector, gives a block of ``k`` vectors; Rayleigh-Ritz sweeps of inverse subspace
     iteration on that block then run until every requested pair reaches the
     relative residual tolerance.  At least one sweep always runs, since raw
     Lanczos vectors can miss a tolerance near round-off.  Results are
@@ -193,7 +231,7 @@ def solve_pencil(pencil: Pencil, k: int, tol: float = DEFAULT_TOL,
     a_csr = pencil.a.to_csr()
     b_csr = pencil.b.to_csr()
 
-    z = factor.solve(b_csr @ _start_block(factor, a_csr, b_csr, k, np.random.default_rng(seed)))
+    z = factor.solve(b_csr @ _start_block(factor, b_csr, k, np.random.default_rng(seed)))
     return _rayleigh_ritz_sweeps(a_csr, b_csr, z, k, tol, factor.solve, max_sweeps)
 
 

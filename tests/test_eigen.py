@@ -224,6 +224,52 @@ class TestSolvePencilFem:
         assert sol.eigenvalues == pytest.approx(dense_oracle(pencil, 4).eigenvalues, rel=1e-9)
         assert (sol.residual_norms <= DEFAULT_TOL).all()
 
+    @pytest.mark.parametrize("kind, family", (("lshape", P1), ("slit", CR)))
+    def test_lanczos_runs_on_the_boundary_dofs(self, get_pencil, get_dofmap, monkeypatch,
+                                               kind, family):
+        pencil, dm = get_pencil(kind, 8, family), get_dofmap(kind, 8, family)
+        eigsh, shapes = spla.eigsh, []
+
+        def recorded(operator, *args, **kwargs):
+            shapes.append(operator.shape)
+            return eigsh(operator, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", recorded)
+        sol = solve_pencil(pencil, 4)
+        assert shapes == [(len(dm.boundary_dofs),) * 2]
+        assert sol.eigenvalues == pytest.approx(dense_oracle(pencil, 4).eigenvalues, rel=1e-9)
+        assert (sol.residual_norms <= DEFAULT_TOL).all()
+
+    def test_small_boundary_skips_lanczos(self, get_pencil, monkeypatch):
+        # 9 dofs, 8 of them on the boundary: a Lanczos basis would fill the
+        # boundary space, so the sweeps start from a Gaussian boundary block.
+        pencil = get_pencil("square", 2, P1)
+        assert pencil.dimension == 9
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigsh called")
+
+        monkeypatch.setattr(spla, "eigsh", forbidden)
+        sol = solve_pencil(pencil, 7)
+        ref = dense_oracle(pencil, 7)
+        assert sol.eigenvalues == pytest.approx(ref.eigenvalues, rel=1e-9)
+        gram = sol.eigenvectors.T @ (pencil.b @ sol.eigenvectors)
+        assert gram == pytest.approx(ref.eigenvectors.T @ (pencil.b @ ref.eigenvectors),
+                                     abs=1e-12)
+        assert gram == pytest.approx(np.eye(7), abs=1e-12)
+
+    @pytest.mark.parametrize("kind, level, k", (("square", 16, 24), ("slit", 6, 27),
+                                                ("slit", 8, 39)))
+    def test_many_pairs_with_semidefinite_boundary_mass(self, get_pencil, kind, level, k):
+        # CR boundary masses are singular.  Lanczos in that inner product
+        # returned negative eigenvalues for the first case, and once its
+        # Krylov space filled the range of B_bb it missed pairs or stopped
+        # with an ARPACK error in the other two.
+        pencil = get_pencil(kind, level, CR)
+        sol = solve_pencil(pencil, k)
+        assert sol.eigenvalues == pytest.approx(dense_oracle(pencil, k).eigenvalues, rel=1e-9)
+        assert (sol.residual_norms <= DEFAULT_TOL).all()
+
     def test_matches_dense_oracle(self, get_pencil):
         pencil = get_pencil("square", 4, CR)
         sol = solve_pencil(pencil, 4)
