@@ -13,7 +13,11 @@ level that cannot be halved; the P1 prolongations between these nested
 meshes, built from the same ancestor map and barycentric coordinates, carry
 a multigrid V-cycle that preconditions LOBPCG.  LOBPCG starts from the
 prolonged eigenvectors of a direct solve on the hierarchy level nearest an
-eighth of the reference level.
+eighth of the reference level.  The spectrum of that start level sets the
+block width (:func:`_block_width`): LOBPCG runs as long as its slowest
+column, so the block gets spare columns past the ``k`` wanted ones only when
+no gap of ratio ``REFERENCE_GAP_RATIO`` follows ``lambda_k``, and then ends
+at the first such gap or after ``REFERENCE_SPARE_COLUMNS`` spares.
 """
 
 from __future__ import annotations
@@ -67,6 +71,10 @@ CLUSTER_GAP_TOL = 1e-8
 # and start from a direct solve on the hierarchy level nearest reference / ratio.
 MULTIGRID_COARSEST_LEVEL = 8
 MULTIGRID_START_RATIO = 8
+# The LOBPCG block of a reference solve ends at the first start-level eigenvalue
+# gap of this ratio from lambda_k on, and holds at most this many spare columns.
+REFERENCE_GAP_RATIO = 1.5
+REFERENCE_SPARE_COLUMNS = 3
 
 
 class AmbiguousAlignmentError(Exception):
@@ -324,6 +332,29 @@ def _multigrid_levels(domain: DomainSpec, level: int) -> list[int]:
     return levels
 
 
+def _block_width(eigenvalues: np.ndarray, k: int) -> int:
+    """LOBPCG block width for ``k`` wanted pairs, from ascending start-level eigenvalues.
+
+    The smallest ``m >= k`` with ``lambda_{m+1} >= REFERENCE_GAP_RATIO *
+    lambda_m``, so that the block's slowest column still converges at the
+    rate of a gap; ``k + REFERENCE_SPARE_COLUMNS`` if no such gap shows
+    among the ``k + REFERENCE_SPARE_COLUMNS`` eigenvalues given.
+
+    Examples
+    --------
+    >>> _block_width(np.array([0.5, 1.0, 1.6, 2.0, 2.6]), 2)
+    2
+    >>> _block_width(np.array([0.5, 1.0, 1.0, 1.4, 2.3]), 2)
+    4
+    >>> _block_width(np.array([0.5, 1.0, 1.2, 1.4, 1.6]), 2)
+    5
+    """
+    for m in range(k, k + REFERENCE_SPARE_COLUMNS):
+        if eigenvalues[m] >= REFERENCE_GAP_RATIO * eigenvalues[m - 1]:
+            return m
+    return k + REFERENCE_SPARE_COLUMNS
+
+
 def _solve_reference(mesh: Mesh, coeff: CoefficientField, k: int, tol: float,
                      seed: int) -> tuple[DofMap, EigenSolution]:
     """P1 dof map and ``k`` smallest eigenpairs on a reference mesh, no factor at its level.
@@ -331,8 +362,11 @@ def _solve_reference(mesh: Mesh, coeff: CoefficientField, k: int, tol: float,
     The stiffness matrix is SPD by construction, so a multigrid hierarchy
     of halved levels preconditions LOBPCG, started from the prolonged
     eigenvectors of a direct solve at the level nearest an eighth of the
-    reference (the two-grid idea of Xu & Zhou, Math. Comp. 70, 2001).  A
-    reference level that cannot be halved is solved directly.
+    reference (the two-grid idea of Xu & Zhou, Math. Comp. 70, 2001).  That
+    solve finds ``k + REFERENCE_SPARE_COLUMNS`` pairs, and its spectrum sets
+    how many of them LOBPCG gets (:func:`_block_width`): ``k`` when
+    ``lambda_{k+1}`` is well apart, more when ``lambda_k`` sits in a cluster.
+    A reference level that cannot be halved is solved directly.
     """
     levels = _multigrid_levels(mesh.domain, mesh.level)
     if len(levels) == 1:
@@ -345,8 +379,10 @@ def _solve_reference(mesh: Mesh, coeff: CoefficientField, k: int, tol: float,
     prolongations = [_prolongation(coarse, fine) for fine, coarse in zip(meshes, meshes[1:])]
     target = mesh.level / MULTIGRID_START_RATIO
     start_index = int(np.argmin([abs(lvl - target) for lvl in levels]))
-    start = _solve_level(meshes[start_index], P1, coeff, k + 1, tol, seed)[1].eigenvectors
-    del meshes
+    coarse = _solve_level(meshes[start_index], P1, coeff, k + REFERENCE_SPARE_COLUMNS, tol,
+                          seed)[1]
+    start = coarse.eigenvectors[:, :_block_width(coarse.eigenvalues, k)]
+    del meshes, coarse
     for p in reversed(prolongations[:start_index]):
         start = p @ start
     return dofmap, _multigrid_eigenpairs(a_csr, b_csr, prolongations, start, k, tol)
@@ -363,7 +399,7 @@ def compute_reference(domain: DomainSpec, level: int, eig_index: int = 2,
     reference deterministic.
     """
     mesh = generate_mesh(domain, level)
-    dofmap, sol = _solve_reference(mesh, coeff, eig_index + 1, tol, seed)
+    dofmap, sol = _solve_reference(mesh, coeff, eig_index, tol, seed)
     values = sol.eigenvectors[:, eig_index - 1].copy()
     bvals = values[dofmap.boundary_dofs]
     if bvals[np.argmax(np.abs(bvals))] < 0.0:

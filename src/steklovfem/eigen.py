@@ -144,7 +144,10 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 def _start_block(factor: SpdFactor, b_csr: sp.csr_matrix, k: int,
                  rng: np.random.Generator) -> np.ndarray:
-    """Start block of the sweeps: ``k`` dominant eigenvectors of ``A^{-1} B``, on the boundary.
+    """Start block of the sweeps: ``A^{-1} B X``, ``X`` on the boundary dofs.
+
+    ``X`` holds ``k`` dominant eigenvectors of ``A^{-1} B`` from Lanczos, or
+    a full Gaussian block on small boundaries.
 
     The ``nb`` boundary dofs are the rows of ``B`` that hold entries.  With
     ``R`` the restriction to them, ``S^{-1} = R A^{-1} R^T`` applies through
@@ -153,10 +156,10 @@ def _start_block(factor: SpdFactor, b_csr: sp.csr_matrix, k: int,
     ``S^{-1}`` and ``B_bb``, never ``S`` or ``A``, orthogonalizes vectors of
     length ``nb`` instead of ``n``, and returns the smallest ``lambda``
     (spectral transformation Lanczos: Ericsson & Ruhe, Math. Comp. 35, 1980;
-    Nour-Omid, Parlett, Ericsson & Jensen, Math. Comp. 48, 1987).  The block
-    is zero-padded to ``n`` rows; the caller's ``A^{-1} B`` maps it to the
-    ``A``-harmonic extensions, which span the Krylov space of Lanczos on
-    ``A^{-1} B`` itself.
+    Nour-Omid, Parlett, Ericsson & Jensen, Math. Comp. 48, 1987).  Its
+    vectors, zero-padded to ``n`` rows, go through ``A^{-1} B`` once, which
+    maps them to the ``A``-harmonic extensions that span the Krylov space of
+    Lanczos on ``A^{-1} B`` itself.
 
     For Crouzeix-Raviart elements ``B_bb`` is only semidefinite, and Lanczos
     in a semidefinite inner product loses orthogonality once many Ritz pairs
@@ -169,7 +172,10 @@ def _start_block(factor: SpdFactor, b_csr: sp.csr_matrix, k: int,
     levels 4 to 8 this broke Lanczos from ``2k + 1 >= 0.56 nb`` on).  So when
     the ``2k + 1`` Lanczos vectors would fill a third of the boundary space
     or more, the block is a full Gaussian one on the boundary dofs, which
-    the first sweep resolves exactly.
+    the first sweep resolves exactly.  ``A^{-1} B`` spreads its columns over
+    the whole spectrum, so they are orthonormalized (thin QR) before the
+    sweeps form their ``A``-Gram matrix, which would otherwise square that
+    spread and lose digits.
 
     The start vector and any restart vector come from ``rng``, so the block
     is deterministic.  If Lanczos stops short, the vectors it did converge
@@ -180,28 +186,32 @@ def _start_block(factor: SpdFactor, b_csr: sp.csr_matrix, k: int,
     n = b_csr.shape[0]
     bd = np.flatnonzero(np.diff(b_csr.indptr))
     nb = bd.size
-    if nb <= 3 * (2 * k + 1):
-        block = rng.standard_normal((nb, nb))
-    else:
-        def schur_inv(r: np.ndarray) -> np.ndarray:
-            x = np.zeros(n)
-            x[bd] = r
-            return factor.solve(x)[bd]
 
-        b_bb = b_csr[bd][:, bd]
-        b_bb = b_bb + sp.diags(np.finfo(float).eps * b_bb.diagonal())
-        # Mode 3 never applies S: it reads only the shape of its first argument.
-        schur = spla.LinearOperator((nb, nb), matvec=None, dtype=float)
-        try:
-            block = spla.eigsh(schur, k, M=b_bb, sigma=0.0, which="LM",
-                               OPinv=spla.LinearOperator((nb, nb), matvec=schur_inv, dtype=float),
-                               v0=rng.standard_normal(nb), rng=rng)[1]
-        except spla.ArpackNoConvergence as exc:
-            found = exc.eigenvectors
-            block = np.hstack([found, rng.standard_normal((nb, k + 3 - found.shape[1]))])
-    lifted = np.zeros((n, block.shape[1]))
-    lifted[bd] = block
-    return lifted
+    def harmonic(block: np.ndarray) -> np.ndarray:
+        lifted = np.zeros((n, block.shape[1]))
+        lifted[bd] = block
+        return factor.solve(b_csr @ lifted)
+
+    if nb <= 3 * (2 * k + 1):
+        return np.linalg.qr(harmonic(rng.standard_normal((nb, nb))))[0]
+
+    def schur_inv(r: np.ndarray) -> np.ndarray:
+        x = np.zeros(n)
+        x[bd] = r
+        return factor.solve(x)[bd]
+
+    b_bb = b_csr[bd][:, bd]
+    b_bb = b_bb + sp.diags(np.finfo(float).eps * b_bb.diagonal())
+    # Mode 3 never applies S: it reads only the shape of its first argument.
+    schur = spla.LinearOperator((nb, nb), matvec=None, dtype=float)
+    try:
+        block = spla.eigsh(schur, k, M=b_bb, sigma=0.0, which="LM",
+                           OPinv=spla.LinearOperator((nb, nb), matvec=schur_inv, dtype=float),
+                           v0=rng.standard_normal(nb), rng=rng)[1]
+    except spla.ArpackNoConvergence as exc:
+        found = exc.eigenvectors
+        block = np.hstack([found, rng.standard_normal((nb, k + 3 - found.shape[1]))])
+    return harmonic(block)
 
 
 def solve_pencil(pencil: Pencil, k: int, tol: float = DEFAULT_TOL,
@@ -231,7 +241,7 @@ def solve_pencil(pencil: Pencil, k: int, tol: float = DEFAULT_TOL,
     a_csr = pencil.a.to_csr()
     b_csr = pencil.b.to_csr()
 
-    z = factor.solve(b_csr @ _start_block(factor, b_csr, k, np.random.default_rng(seed)))
+    z = _start_block(factor, b_csr, k, np.random.default_rng(seed))
     return _rayleigh_ritz_sweeps(a_csr, b_csr, z, k, tol, factor.solve, max_sweeps)
 
 
@@ -333,7 +343,11 @@ def _multigrid_eigenpairs(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix,
     LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) on ``B x = mu A x``,
     preconditioned by a :class:`_VCycle` over ``prolongations`` and started
     from the block ``start`` (at least ``k`` columns, typically prolonged
-    coarse eigenvectors), finds the dominant subspace.  LOBPCG bounds the
+    coarse eigenvectors), finds the dominant subspace.  LOBPCG iterates until
+    its slowest column converges, and each column costs about the same, so
+    ``start`` should hold columns past the ``k`` wanted ones only as far as
+    it takes to reach a gap after ``lambda_k`` (the reference solve reads
+    that width off a coarse spectrum).  LOBPCG bounds the
     absolute residual ``|B x - mu A x|`` of ``A``-normalized columns, which
     is about the relative residual times ``|B x|``, so its tolerance is
     ``tol`` times the smallest ``|B x|`` of the start block.  The

@@ -186,6 +186,7 @@ class TestStudyCommand:
         assert "reference lambda_1" in out and "richardson" in out
         assert "target 2r = 2.00000000" in out
         assert "target r + 1/2 = 1.50000000" in out
+        assert "1.50000000 (lower bound)" in out
 
     def test_markdown_format(self, capsys):
         code, out, _ = run_cli(

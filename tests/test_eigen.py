@@ -28,6 +28,11 @@ from steklovfem import analysis, eigen
 from steklovfem.eigen import DEFAULT_TOL, DENSE_ORACLE_MAX_DIM, SpdFactor
 
 
+COEFFICIENTS = {"unit": UNIT_COEFFICIENTS,
+                "affine": CoefficientField(alpha=affine(1.0, 0.5, 0.25),
+                                           beta=affine(2.0, -0.5, 0.5))}
+
+
 def diag_sparse(values):
     values = np.asarray(values, dtype=float)
     idx = np.arange(len(values))
@@ -258,6 +263,19 @@ class TestSolvePencilFem:
                                      abs=1e-12)
         assert gram == pytest.approx(np.eye(7), abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ("square", "lshape"))
+    def test_gaussian_start_keeps_digits(self, get_pencil, kind):
+        # 32 boundary dofs take the full Gaussian start.  With its thin QR the
+        # gap measures 1.1e-13 / 1.4e-13 and the defect 2.6e-15 / 4.0e-15;
+        # without it, 1.75e-12 / 7.9e-13 and 1.7e-12 / 9.5e-13.
+        pencil = get_pencil(kind, 8, P1)
+        sol = solve_pencil(pencil, 5)
+        ref = dense_oracle(pencil, 5)
+        gap = np.abs(sol.eigenvalues - ref.eigenvalues) / ref.eigenvalues
+        gram = sol.eigenvectors.T @ (pencil.b @ sol.eigenvectors)
+        assert gap.max() <= 5e-13
+        assert np.abs(gram - np.eye(5)).max() <= 1e-13
+
     @pytest.mark.parametrize("kind, level, k", (("square", 16, 24), ("slit", 6, 27),
                                                 ("slit", 8, 39)))
     def test_many_pairs_with_semidefinite_boundary_mass(self, get_pencil, kind, level, k):
@@ -322,11 +340,9 @@ class TestMultigridReference:
 
     @pytest.mark.parametrize("kind, level", (("lshape", 32), ("slit", 64), ("square", 128),
                                              ("lshape", 256), ("slit", 256), ("slit", 6)))
-    @pytest.mark.parametrize("coeff", (UNIT_COEFFICIENTS,
-                                       CoefficientField(alpha=affine(1.0, 0.5, 0.25),
-                                                        beta=affine(2.0, -0.5, 0.5))),
-                             ids=("unit", "affine"))
-    def test_matches_direct_solve(self, get_mesh, get_dofmap, kind, level, coeff):
+    @pytest.mark.parametrize("coeff_id", COEFFICIENTS)
+    def test_matches_direct_solve(self, get_mesh, get_dofmap, kind, level, coeff_id):
+        coeff = COEFFICIENTS[coeff_id]
         mesh, dm = get_mesh(kind, level), get_dofmap(kind, level, P1)
         _, sol = analysis._solve_reference(mesh, coeff, 3, DEFAULT_TOL, eigen.DEFAULT_SEED)
         pencil = Pencil(assemble_stiffness(mesh, dm, coeff), assemble_boundary_mass(mesh, dm))
@@ -336,6 +352,48 @@ class TestMultigridReference:
         u, v = sol.eigenvectors, direct.eigenvectors
         signs = np.sign(np.einsum("ij,ij->j", u, pencil.b @ v))
         assert np.abs(u * signs - v).max() <= 1e-8
+
+    @pytest.fixture(scope="class")
+    def direct_64(self, get_mesh, get_dofmap):
+        cache = {}
+
+        def get(kind, coeff_id):
+            if (kind, coeff_id) not in cache:
+                mesh, dm = get_mesh(kind, 64), get_dofmap(kind, 64, P1)
+                pencil = Pencil(assemble_stiffness(mesh, dm, COEFFICIENTS[coeff_id]),
+                                assemble_boundary_mass(mesh, dm))
+                cache[kind, coeff_id] = pencil, solve_pencil(pencil, 6)
+            return cache[kind, coeff_id]
+
+        return get
+
+    @pytest.mark.parametrize("eig_index", range(1, 7))
+    @pytest.mark.parametrize("kind", ("square", "lshape", "slit"))
+    @pytest.mark.parametrize("coeff_id", COEFFICIENTS)
+    def test_each_index_matches_direct_solve(self, direct_64, coeff_id, kind, eig_index):
+        # unit-slit-6: lambda_7 / lambda_8 differ by 5%, and a block with one
+        # fixed spare column ending in that cluster ran out of sweeps.
+        pencil, direct = direct_64(kind, coeff_id)
+        ref = compute_reference(DomainSpec(kind), 64, eig_index, coeff=COEFFICIENTS[coeff_id])
+        assert ref.lambda_h == pytest.approx(direct.eigenvalues[eig_index - 1], rel=1e-10)
+        u, v = ref.fn.values, direct.eigenvectors[:, eig_index - 1]
+        assert np.abs(np.sign(u @ (pencil.b @ v)) * u - v).max() <= 1e-8
+
+    @pytest.mark.parametrize("kind, width", (("lshape", 2), ("slit", 2), ("square", 4)))
+    def test_block_width_follows_the_spectrum(self, monkeypatch, kind, width):
+        # At eig_index 2, lambda_3 >= 1.5 lambda_2 on the L-shape and the slit
+        # square, so LOBPCG needs no spare column.  The square's lambda_2 and
+        # lambda_3 nearly coincide and its lambda_4 / lambda_3 is 1.40, so the
+        # block runs on to the gap after lambda_4.
+        lobpcg, widths = spla.lobpcg, []
+
+        def recorded(a, x, *args, **kwargs):
+            widths.append(x.shape[1])
+            return lobpcg(a, x, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "lobpcg", recorded)
+        compute_reference(DomainSpec(kind), 64)
+        assert widths == [width]
 
     def test_no_factor_of_the_reference_dimension(self, monkeypatch):
         # Also, no factor outlives the solve without the cyclic collector.
