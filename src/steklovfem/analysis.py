@@ -372,7 +372,7 @@ def _solve_reference(mesh: Mesh, coeff: CoefficientField, k: int, tol: float,
     if len(levels) == 1:
         return _solve_level(mesh, P1, coeff, k, tol, seed)
     dofmap = build_dof_map(mesh, P1)
-    # Only the CSR forms are kept: the upper-triangle triplets are freed here.
+    # Only the full CSR forms are kept: each SymSparse and its upper triangle is freed here.
     a_csr = assemble_stiffness(mesh, dofmap, coeff).to_csr()
     b_csr = assemble_boundary_mass(mesh, dofmap).to_csr()
     meshes = [mesh] + [generate_mesh(mesh.domain, lvl) for lvl in levels[1:]]

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .analysis import ReferenceSpec, run_convergence_study
 from .eigen import (ConvergenceFailureError, DEFAULT_SEED, DEFAULT_TOL,
@@ -19,47 +18,11 @@ from .fem import (CR, CoefficientField, InvalidCoefficientError, P1, affine,
                   write_matrix)
 from .mesh import DomainSpec, InvalidLevelError, generate_mesh, write_mesh
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _DOMAINS = ("square", "lshape", "slit")
 _FAMILIES = (P1, CR)
 BASE_STUDY_LEVEL = 8
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully resolved study configuration."""
-
-    domain: str
-    family: str
-    min_level: int = 8
-    max_level: int = 128
-    eig_index: int = 2
-    reference_mode: str = "auto"
-    reference_level: int = 512
-    tol: float = DEFAULT_TOL
-    seed: int = DEFAULT_SEED
-    out: str | None = None
-    format: str = "csv"
-
-    def __post_init__(self) -> None:
-        for name, lvl in (("min-level", self.min_level), ("max-level", self.max_level)):
-            if lvl < BASE_STUDY_LEVEL or lvl & (lvl - 1) or lvl % BASE_STUDY_LEVEL:
-                raise ValueError(
-                    f"--{name} must be {BASE_STUDY_LEVEL} times a power of two, got {lvl}")
-        if self.min_level > self.max_level:
-            raise ValueError("--min-level must not exceed --max-level")
-        if self.max_level >= self.reference_level:
-            raise ValueError("--ref-level must exceed --max-level")
-        if self.eig_index < 1:
-            raise ValueError("--eig-index must be at least 1")
-
-    @property
-    def levels(self) -> list[int]:
-        levels = [self.min_level]
-        while levels[-1] < self.max_level:
-            levels.append(2 * levels[-1])
-        return levels
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,21 +117,26 @@ def cmd_solve(args) -> int:
 
 def cmd_study(args) -> int:
     coeff = _coefficient_field(args)
-    config = RunConfig(domain=args.domain, family=args.element,
-                       min_level=args.min_level, max_level=args.max_level,
-                       eig_index=args.eig_index, reference_mode=args.reference,
-                       reference_level=args.ref_level, tol=args.tol, seed=args.seed,
-                       out=args.out, format=args.format)
+    for name, lvl in (("min-level", args.min_level), ("max-level", args.max_level)):
+        if lvl < BASE_STUDY_LEVEL or lvl & (lvl - 1) or lvl % BASE_STUDY_LEVEL:
+            raise ValueError(
+                f"--{name} must be {BASE_STUDY_LEVEL} times a power of two, got {lvl}")
+    if args.min_level > args.max_level:
+        raise ValueError("--min-level must not exceed --max-level")
+    if args.max_level >= args.ref_level:
+        raise ValueError("--ref-level must exceed --max-level")
+    if args.eig_index < 1:
+        raise ValueError("--eig-index must be at least 1")
+    levels = [args.min_level]
+    while levels[-1] < args.max_level:
+        levels.append(2 * levels[-1])
     table = run_convergence_study(
-        DomainSpec(config.domain), config.family, config.levels,
-        eig_index=config.eig_index, coeff=coeff,
-        reference=ReferenceSpec(config.reference_mode, config.reference_level),
-        tol=config.tol, seed=config.seed)
-    text = table.to_csv() if config.format == "csv" else table.to_markdown()
-    _write_text(config.out, text)
+        DomainSpec(args.domain), args.element, levels, eig_index=args.eig_index, coeff=coeff,
+        reference=ReferenceSpec(args.reference, args.ref_level), tol=args.tol, seed=args.seed)
+    _write_text(args.out, table.to_csv() if args.format == "csv" else table.to_markdown())
 
     finest = table.rows[-2] if len(table.rows) > 1 else None
-    report = [f"reference lambda_{config.eig_index} = {table.reference_lambda:.8f} "
+    report = [f"reference lambda_{args.eig_index} = {table.reference_lambda:.8f} "
               f"({table.reference_mode}, trace level {table.reference_level})"]
     if finest is not None and finest.lambda_ratio is not None:
         report.append(f"observed ratio(lambda) at finest pair = {finest.lambda_ratio:.8f}   "

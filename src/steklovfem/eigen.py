@@ -215,7 +215,7 @@ def _start_block(factor: SpdFactor, b_csr: sp.csr_matrix, k: int,
 
 
 def solve_pencil(pencil: Pencil, k: int, tol: float = DEFAULT_TOL,
-                 seed: int = DEFAULT_SEED, max_sweeps: int = MAX_SWEEPS) -> EigenSolution:
+                 seed: int = DEFAULT_SEED) -> EigenSolution:
     """Compute the ``k`` smallest eigenpairs of ``A u = lambda B u``.
 
     Lanczos on the boundary dofs, started from a fixed-seed Gaussian
@@ -230,7 +230,7 @@ def solve_pencil(pencil: Pencil, k: int, tol: float = DEFAULT_TOL,
     NotPositiveDefiniteError
         If ``A`` fails to factor as SPD.
     ConvergenceFailureError
-        If the residuals do not reach ``tol`` within ``max_sweeps`` sweeps.
+        If the residuals do not reach ``tol`` within ``MAX_SWEEPS`` sweeps.
     """
     n = pencil.dimension
     if not 1 <= k <= n:
@@ -242,7 +242,7 @@ def solve_pencil(pencil: Pencil, k: int, tol: float = DEFAULT_TOL,
     b_csr = pencil.b.to_csr()
 
     z = _start_block(factor, b_csr, k, np.random.default_rng(seed))
-    return _rayleigh_ritz_sweeps(a_csr, b_csr, z, k, tol, factor.solve, max_sweeps)
+    return _rayleigh_ritz_sweeps(a_csr, b_csr, z, k, tol, factor.solve, MAX_SWEEPS)
 
 
 def _rayleigh_ritz_sweeps(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix, z: np.ndarray, k: int,
@@ -280,8 +280,6 @@ def _rayleigh_ritz_sweeps(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix, z: np.ndar
         u = z @ (w @ v)
         x = u
 
-        if mu[k - 1] <= 0.0:
-            continue  # subspace has not yet locked onto k boundary modes
         lam = 1.0 / mu[:k]
         cand = u[:, :k] / np.sqrt(mu[:k])
         au = a_csr @ cand

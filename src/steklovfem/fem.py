@@ -172,16 +172,16 @@ UNIT_COEFFICIENTS = constant_coefficients()
 
 @dataclass
 class SymSparse:
-    """A symmetric sparse matrix stored as its upper triangle in COO form.
+    """A symmetric sparse matrix stored as its upper triangle in CSR form.
 
-    Entries are canonicalized to ``row <= col``, sorted row-major, duplicates
-    summed, and exact zeros dropped, so equal matrices have identical storage.
+    ``upper`` is canonical: entries have ``row <= col``, column indices are
+    sorted within each row, duplicates are summed and exact zeros dropped, so
+    equal matrices have identical storage.  The full symmetric CSR matrix is
+    built on the first :meth:`to_csr` call and cached.
     """
 
     dimension: int
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
+    upper: sp.csr_matrix
     _csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     @classmethod
@@ -195,27 +195,23 @@ class SymSparse:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         values = np.asarray(values, dtype=float)
-        # Pairs formed inline, so they are freed once coo_matrix has copied them.
+        # Pairs formed inline, so they are freed once coo_matrix has copied them;
+        # csr_matrix on the triplets would hold both through the conversion.
         coo = sp.coo_matrix((values, (np.minimum(rows, cols), np.maximum(rows, cols))),
                             shape=(dimension, dimension))
         upper = coo.tocsr()
         upper.sum_duplicates()
         upper.eliminate_zeros()
-        out = upper.tocoo()
-        return cls(dimension=dimension, rows=out.row.astype(np.int64),
-                   cols=out.col.astype(np.int64), values=out.data.copy())
+        return cls(dimension=dimension, upper=upper)
 
     @property
     def nnz(self) -> int:
-        return len(self.values)
+        return self.upper.nnz
 
     def to_csr(self) -> sp.csr_matrix:
         """Full symmetric CSR matrix (cached)."""
         if self._csr is None:
-            upper = sp.coo_matrix((self.values, (self.rows, self.cols)),
-                                  shape=(self.dimension, self.dimension)).tocsr()
-            strict = sp.triu(upper, k=1)
-            self._csr = (upper + strict.T).tocsr()
+            self._csr = (self.upper + sp.triu(self.upper, k=1).T).tocsr()
         return self._csr
 
     def to_dense(self) -> np.ndarray:
@@ -224,18 +220,17 @@ class SymSparse:
     def __matmul__(self, other: np.ndarray) -> np.ndarray:
         return self.to_csr() @ other
 
-    def diagonal(self) -> np.ndarray:
-        return self.to_csr().diagonal()
-
 
 def write_matrix(matrix: SymSparse, stream) -> None:
     """Write the plain-text symmetric matrix format.
 
     Header ``matrix <dimension> <nnz>`` followed by one line
-    ``e <row> <col> <value>`` per stored upper-triangle entry.
+    ``e <row> <col> <value>`` per stored upper-triangle entry, row-major.
     """
+    upper = matrix.upper
     stream.write(f"matrix {matrix.dimension} {matrix.nnz}\n")
-    for r, c, v in zip(matrix.rows, matrix.cols, matrix.values):
+    rows = np.repeat(np.arange(matrix.dimension), np.diff(upper.indptr))
+    for r, c, v in zip(rows, upper.indices, upper.data):
         stream.write(f"e {r} {c} {v:.17g}\n")
 
 
@@ -324,10 +319,8 @@ def assemble_stiffness(mesh: Mesh, dofmap: DofMap,
     >>> assemble_stiffness(mesh, build_dof_map(mesh, P1)).nnz
     25
     """
-    entries = _stiffness_entries(mesh, dofmap.family, UNIT_COEFFICIENTS if coeff is None else coeff)
+    entries = _stiffness_entries(mesh, dofmap.family, coeff)
     return _scatter(dofmap.cell_dofs, entries, dofmap.n_dofs)
-
-
 
 
 def assemble_boundary_mass(mesh: Mesh, dofmap: DofMap) -> SymSparse:

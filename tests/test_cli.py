@@ -13,7 +13,7 @@ from steklovfem import (
     build_dof_map,
     dense_oracle,
 )
-from steklovfem.cli import RunConfig, _coefficient_field, build_parser, main
+from steklovfem.cli import _coefficient_field, build_parser, main
 
 
 def run_cli(*argv, capsys=None):
@@ -22,24 +22,34 @@ def run_cli(*argv, capsys=None):
     return code, out, err
 
 
+def run_study(*flags, capsys):
+    return run_cli("study", "--domain", "square", "--element", "p1", *flags, capsys=capsys)
+
+
 class TestRunConfig:
-    def test_levels_expand_by_doubling(self):
-        cfg = RunConfig(domain="lshape", family=P1, min_level=8, max_level=64)
-        assert cfg.levels == [8, 16, 32, 64]
+    """Validation and expansion of the study's level and index flags."""
+
+    def test_levels_expand_by_doubling(self, tmp_path, capsys):
+        target = tmp_path / "study.csv"
+        code, _, _ = run_study("--min-level", "8", "--max-level", "64", "--ref-level", "128",
+                               "--eig-index", "1", "--out", str(target), capsys=capsys)
+        assert code == 0
+        assert [ln.split(",")[0] for ln in target.read_text().splitlines()[1:]] == [
+            "sqrt2/8", "sqrt2/16", "sqrt2/32", "sqrt2/64"]
 
     @pytest.mark.parametrize("bad", (6, 12, 24, 7, 0))
-    def test_levels_must_be_base_times_power_of_two(self, bad):
-        with pytest.raises(ValueError, match="times a power of two"):
-            RunConfig(domain="lshape", family=P1, min_level=bad, max_level=128)
+    def test_levels_must_be_base_times_power_of_two(self, bad, capsys):
+        code, _, err = run_study("--min-level", str(bad), "--max-level", "128", capsys=capsys)
+        assert code == 1
+        assert "times a power of two" in err
 
-    def test_ordering_checks(self):
-        with pytest.raises(ValueError, match="min-level"):
-            RunConfig(domain="lshape", family=P1, min_level=64, max_level=32)
-        with pytest.raises(ValueError, match="ref-level"):
-            RunConfig(domain="lshape", family=P1, min_level=8, max_level=512,
-                      reference_level=512)
-        with pytest.raises(ValueError, match="eig-index"):
-            RunConfig(domain="lshape", family=P1, eig_index=0)
+    def test_ordering_checks(self, capsys):
+        for flags, message in ((("--min-level", "64", "--max-level", "32"), "min-level"),
+                               (("--max-level", "512", "--ref-level", "512"), "ref-level"),
+                               (("--eig-index", "0"), "eig-index")):
+            code, _, err = run_study(*flags, capsys=capsys)
+            assert code == 1
+            assert message in err
 
     def test_coefficient_field(self):
         args = build_parser().parse_args(
@@ -103,7 +113,8 @@ class TestAssembleCommand:
         assert lines[0] == f"matrix {dm.n_dofs} {expected.nnz}"
         values = {(int(r), int(c)): float(v)
                   for _, r, c, v in (ln.split() for ln in lines[1:])}
-        for r, c, v in zip(expected.rows, expected.cols, expected.values):
+        upper = expected.upper.tocoo()
+        for r, c, v in zip(upper.row, upper.col, upper.data):
             assert values[(int(r), int(c))] == pytest.approx(v, rel=1e-15)
 
     def test_invalid_coefficient_exits_one(self, capsys):

@@ -130,7 +130,7 @@ class TestSolvePencilSmall:
     def test_convergence_failure_carries_state(self, get_pencil):
         pencil = get_pencil("square", 2, P1)
         with pytest.raises(ConvergenceFailureError) as excinfo:
-            solve_pencil(pencil, 2, tol=1e-300, max_sweeps=5)
+            solve_pencil(pencil, 2, tol=1e-300)
         assert excinfo.value.eigenvalues.shape == (2,)
         assert excinfo.value.residuals.shape == (2,)
 
