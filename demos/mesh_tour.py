@@ -31,8 +31,10 @@ for kind in ("square", "lshape", "slit"):
 
 # Uniform refinement halves h and exactly nests the triangles: every coarse
 # triangle is split into four children.  The refinement's parent map is the
-# grid arithmetic of `ancestor_map`, which is what lets studies transfer
-# reference traces from any finer level without geometric search.
+# grid arithmetic of `ancestor_map`.  The boundary nests the same way: each
+# coarse boundary edge is a run of consecutive fine ones, which is what lets
+# studies transfer reference traces from any finer level without geometric
+# search.
 mesh = generate_mesh(DomainSpec("lshape"), 4)
 fine = refine(mesh)
 print(f"refining lshape level 4 -> level {fine.fine.level}: "

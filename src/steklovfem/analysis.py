@@ -1,16 +1,16 @@
 """Norms, reference transfer, boundary errors, and convergence studies.
 
 Error measurement against a finer reference never relocates points
-geometrically: the meshes are nested by construction, so every fine triangle
-finds its coarse ancestor by grid arithmetic (:func:`~.mesh.ancestor_map`),
-and all boundary quadrature runs on the fine partition (whose edges
-subdivide the coarse ones).  This keeps the error of the transfer itself at
+geometrically: the meshes are nested by construction and walk their
+boundaries alike, so each point of the fine boundary quadrature finds its
+coarse triangle and barycentric coordinates from its place in the walk
+(:class:`TransferredTrace`).  This keeps the error of the transfer itself at
 rounding level.
 
 The conforming reference (:func:`compute_reference`) is solved without a
 factor of its own level.  Its level is halved down to level 8 or the first
 level that cannot be halved; the P1 prolongations between these nested
-meshes, built from the same ancestor map and barycentric coordinates, carry
+meshes, built from :func:`~.mesh.ancestor_map` and barycentric coordinates, carry
 a multigrid V-cycle that preconditions LOBPCG.  LOBPCG starts from the
 prolonged eigenvectors of a direct solve on the hierarchy level nearest an
 eighth of the reference level.  The spectrum of that start level sets the
@@ -112,18 +112,12 @@ class FeFunction:
 def _boundary_gauss(mesh: Mesh):
     """Per-boundary-edge Gauss data: triangles, barycentric points, weights,
     physical points, and slit-side flags."""
-    tris = mesh.boundary_edges[:, 0]
-    locs = mesh.boundary_edges[:, 1]
+    tris, locs = mesh.boundary_edges.T
     bary = fem.EDGE_GAUSS_BARY[locs]
     weights = mesh.boundary_edge_lengths()[:, None] * fem.EDGE_GAUSS_WEIGHTS[None, :]
     points = np.einsum("egc,ecd->egd", bary, mesh.vertices[mesh.triangles[tris]])
-    ends = mesh.boundary_edge_vertices()
-    side = edge_slit_sides(mesh, ends[:, 0], ends[:, 1])
+    side = edge_slit_sides(mesh, *mesh.boundary_edge_vertices().T)
     return tris, bary, weights, points, side
-
-
-def _trace_values(f: FeFunction, tris, bary) -> np.ndarray:
-    return evaluate_fe_many(f.values, f.dofmap, tris, bary)
 
 
 @dataclass
@@ -131,33 +125,35 @@ class TransferredTrace:
     """A fine-mesh function viewed from a coarse mesh through nesting.
 
     Wraps a reference :class:`FeFunction` on a fine mesh whose level is a
-    multiple of the coarse level; errors against coarse functions integrate
-    on the fine boundary partition, evaluating the coarse function in each
-    fine triangle's ancestor.  Ancestors come from grid arithmetic, with no
-    geometric search.  The fine boundary quadrature and the reference trace
-    values on it are set up once, here, and shared by every error and sign
-    alignment against this trace.
+    multiple ``r`` of the coarse level; errors against coarse functions
+    integrate on the fine boundary partition.  Both boundary walks follow
+    the grid from ``(0, 0)``, so fine boundary edge ``j`` lies in coarse edge
+    ``j // r``, and its point at parameter ``t`` sits at ``(j % r + t) / r``
+    on that edge: no search, no geometry.  The quadrature, its coarse
+    points and the reference values on it are set up once, here, and shared
+    by every error and sign alignment against this trace.
     """
 
     fn: FeFunction
     coarse_mesh: Mesh
-    ancestor: np.ndarray = field(init=False, repr=False)
     _weights: np.ndarray = field(init=False, repr=False)
-    _points: np.ndarray = field(init=False, repr=False)
-    _coarse_tris: np.ndarray = field(init=False, repr=False)
     _values: np.ndarray = field(init=False, repr=False)
+    _coarse_tris: np.ndarray = field(init=False, repr=False)
+    _coarse_bary: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        fine = self.fn.mesh
-        if (fine.domain.kind != self.coarse_mesh.domain.kind
-                or fine.level % self.coarse_mesh.level):
+        fine, coarse = self.fn.mesh, self.coarse_mesh
+        if fine.domain.kind != coarse.domain.kind or fine.level % coarse.level:
             raise NestingError(
                 f"{fine.domain.kind} level {fine.level} does not refine "
-                f"{self.coarse_mesh.domain.kind} level {self.coarse_mesh.level}")
-        self.ancestor = ancestor_map(self.coarse_mesh, fine)
-        tris, bary, self._weights, self._points, _ = _boundary_gauss(fine)
-        self._coarse_tris = self.ancestor[tris]
-        self._values = _trace_values(self.fn, tris[:, None], bary)
+                f"{coarse.domain.kind} level {coarse.level}")
+        tris, bary, self._weights, _, _ = _boundary_gauss(fine)
+        self._values = evaluate_fe_many(self.fn.values, self.fn.dofmap, tris[:, None], bary)
+        r = fine.level // coarse.level
+        edge, offset = np.divmod(np.arange(fine.n_boundary_edges)[:, None], r)
+        self._coarse_tris = coarse.boundary_edges[edge, 0]
+        self._coarse_bary = fem._edge_bary(coarse.boundary_edges[edge, 1],
+                                           (offset + fem.EDGE_GAUSS_POINTS) / r)
 
 
 def transfer_reference(fn: FeFunction, coarse_mesh: Mesh) -> TransferredTrace:
@@ -168,6 +164,16 @@ def transfer_reference(fn: FeFunction, coarse_mesh: Mesh) -> TransferredTrace:
     NestingError
         If ``coarse_mesh`` covers another domain or its level does not
         divide the level of the mesh of ``fn``.
+
+    Examples
+    --------
+    A linear function, given by its vertex values, has equal P1 traces:
+
+    >>> slit = DomainSpec("slit")
+    >>> u, ref = (FeFunction(m, build_dof_map(m, P1), 1.0 + m.vertices @ [2.0, -1.0])
+    ...           for m in (generate_mesh(slit, 4), generate_mesh(slit, 12)))
+    >>> round(boundary_l2_error(u, transfer_reference(ref, u.mesh)), 14)
+    0.0
     """
     return TransferredTrace(fn=fn, coarse_mesh=coarse_mesh)
 
@@ -218,25 +224,21 @@ def _paired_boundary_values(u: FeFunction, ref) -> tuple[np.ndarray, np.ndarray,
 
     Dispatches on the reference type; all quadrature happens on the finest
     partition available so that every integrand is piecewise polynomial on
-    every quadrature cell.
+    every quadrature cell.  A finite element reference pairs as its ratio-1 transfer.
     """
+    if isinstance(ref, FeFunction):
+        if u.mesh.level != ref.mesh.level or u.mesh.domain.kind != ref.mesh.domain.kind:
+            raise ValueError("functions live on different meshes; transfer one first")
+        ref = TransferredTrace(ref, u.mesh)
     if isinstance(ref, TransferredTrace):
         coarse = ref.coarse_mesh
         if u.mesh.level != coarse.level or u.mesh.domain.kind != coarse.domain.kind:
             raise ValueError("function lives on a different mesh than the transferred trace")
-        coarse_tris = ref._coarse_tris[:, None]
-        coarse_bary = _bary_in_triangles(u.mesh, coarse_tris, ref._points)
-        u_vals = evaluate_fe_many(u.values, u.dofmap, coarse_tris, coarse_bary)
+        u_vals = evaluate_fe_many(u.values, u.dofmap, ref._coarse_tris, ref._coarse_bary)
         return ref._weights, u_vals, ref._values
-    if isinstance(ref, FeFunction):
-        if u.mesh.level != ref.mesh.level or u.mesh.domain.kind != ref.mesh.domain.kind:
-            raise ValueError("functions live on different meshes; transfer one first")
-        tris, bary, weights, _, _ = _boundary_gauss(u.mesh)
-        return weights, _trace_values(u, tris[:, None], bary), _trace_values(ref, tris[:, None], bary)
     tris, bary, weights, points, side = _boundary_gauss(u.mesh)
-    pf = as_point_function(ref)
-    ref_vals = pf(points[..., 0], points[..., 1], side[:, None])
-    return weights, _trace_values(u, tris[:, None], bary), ref_vals
+    ref_vals = as_point_function(ref)(points[..., 0], points[..., 1], side[:, None])
+    return weights, evaluate_fe_many(u.values, u.dofmap, tris[:, None], bary), ref_vals
 
 
 def boundary_l2_error(u, ref) -> float:

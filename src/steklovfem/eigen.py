@@ -118,9 +118,9 @@ class SpdFactor:
     """
 
     def __init__(self, matrix: SymSparse):
-        csc = sp.csc_matrix(matrix.to_csr())
+        # A symmetric CSR matrix's transpose is its CSC form, sharing the arrays.
         try:
-            lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A",
+            lu = spla.splu(matrix.to_csr().T, permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # exactly singular
             raise NotPositiveDefiniteError(str(exc)) from exc
@@ -314,9 +314,9 @@ class _VCycle:
             weights = (JACOBI_DAMPING / a_csr.diagonal())[:, None]
             self.levels.append((a_csr, weights, p, restriction))
             a_csr = (restriction @ a_csr @ p).tocsr()
-        upper = sp.triu(a_csr).tocoo()
-        self.coarse = factorize_spd(
-            SymSparse.from_entries(a_csr.shape[0], upper.row, upper.col, upper.data))
+        upper = sp.triu(a_csr, format="csr")
+        upper.eliminate_zeros()
+        self.coarse = factorize_spd(SymSparse(a_csr.shape[0], upper))
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         shape = r.shape

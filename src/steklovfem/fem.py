@@ -53,11 +53,17 @@ TRIANGLE_QUADRATURE_BARY = np.array([
 # Two-point Gauss rule on [0, 1].  Exact for cubics.
 EDGE_GAUSS_POINTS = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
 EDGE_GAUSS_WEIGHTS = np.array([0.5, 0.5])
-# Barycentric coordinates of those points on each local edge, shape (3, 2, 3):
-# on edge i the coordinate of vertex i vanishes, and the point at parameter t
-# has weight 1 - t on the edge's start vertex and t on its end vertex.
-EDGE_GAUSS_BARY = (np.eye(3)[EDGE_STARTS, None, :] * (1.0 - EDGE_GAUSS_POINTS)[:, None]
-                   + np.eye(3)[EDGE_ENDS, None, :] * EDGE_GAUSS_POINTS[:, None])
+
+
+def _edge_bary(local_edges: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates of the points at parameter ``t`` on local edges
+    (broadcast together): ``1 - t`` on the edge's start vertex, ``t`` on its end."""
+    return (np.eye(3)[EDGE_STARTS[local_edges]] * (1.0 - t)[..., None]
+            + np.eye(3)[EDGE_ENDS[local_edges]] * t[..., None])
+
+
+# Barycentric coordinates of the Gauss points on each local edge, shape (3, 2, 3).
+EDGE_GAUSS_BARY = _edge_bary(np.arange(3)[:, None], EDGE_GAUSS_POINTS)
 
 
 class InvalidCoefficientError(ValueError):
@@ -329,8 +335,7 @@ def assemble_boundary_mass(mesh: Mesh, dofmap: DofMap) -> SymSparse:
     Rows and columns of dofs without boundary support vanish, so the matrix
     is positive semidefinite with a large kernel.
     """
-    b_tris = mesh.boundary_edges[:, 0]
-    b_locals = mesh.boundary_edges[:, 1]
+    b_tris, b_locals = mesh.boundary_edges.T
     lengths = mesh.boundary_edge_lengths()
     bary = EDGE_GAUSS_BARY[b_locals]  # (ne, 2, 3)
     traces = _basis_at_bary(bary.reshape(-1, 3), dofmap.family).reshape(bary.shape)

@@ -115,11 +115,11 @@ class Mesh:
         Coordinates.  Slit duplicates come after all grid originals.
     triangles : ndarray, shape (n_triangles, 3)
         Vertex indices, counterclockwise.
-    boundary_edges : ndarray, shape (n_boundary_edges, 3)
-        Rows ``(triangle, local_edge, component)`` in boundary traversal
-        order, starting at the vertex ``(0, 0)`` and walking with the domain
-        on the left.  All three domains have a single boundary curve (the
-        slit is walked as part of it), so the component id is always 0.
+    boundary_edges : ndarray, shape (n_boundary_edges, 2)
+        Rows ``(triangle, local_edge)`` in the order of one closed walk from
+        ``(0, 0)`` with the domain on the left, along both sides of the slit.
+        The walk follows the grid: at level ``r * n``, edge ``j`` lies in edge
+        ``j // r`` of the level-``n`` walk, running the same way.
     vertex_slit_side : ndarray, shape (n_vertices,)
         ``-1`` for a vertex on the lower slit side, ``+1`` for the upper
         copy, ``0`` elsewhere (always 0 away from the slit domain).
@@ -157,16 +157,12 @@ class Mesh:
 
     def boundary_edge_vertices(self) -> np.ndarray:
         """Directed endpoint indices of the boundary edges, shape (nb, 2)."""
-        tris = self.boundary_edges[:, 0]
-        loc = self.boundary_edges[:, 1]
-        rows = self.triangles[tris]
-        return np.column_stack([rows[np.arange(len(tris)), EDGE_STARTS[loc]],
-                                rows[np.arange(len(tris)), EDGE_ENDS[loc]]])
+        tris, loc = self.boundary_edges.T
+        return np.take_along_axis(self.triangles[tris], np.array(LOCAL_EDGES)[loc], axis=1)
 
     def boundary_edge_lengths(self) -> np.ndarray:
-        ends = self.boundary_edge_vertices()
-        delta = self.vertices[ends[:, 1]] - self.vertices[ends[:, 0]]
-        return np.hypot(delta[:, 0], delta[:, 1])
+        start, end = self.vertices[self.boundary_edge_vertices().T]
+        return np.hypot(*(end - start).T)
 
 
 def _validate_level(domain: DomainSpec, level: int) -> None:
@@ -319,8 +315,7 @@ def _ordered_boundary(domain: DomainSpec, vertices: np.ndarray, triangles: np.nd
                            3 * upper[inside & open_top],
                            3 * upper[inside & open_left] + 1])
 
-    tri_idx = flat // 3
-    local_idx = flat % 3
+    tri_idx, local_idx = np.divmod(flat, 3)
     starts = triangles[tri_idx, EDGE_STARTS[local_idx]]
     stops = triangles[tri_idx, EDGE_ENDS[local_idx]]
 
@@ -340,11 +335,7 @@ def _ordered_boundary(domain: DomainSpec, vertices: np.ndarray, triangles: np.nd
     if cursor != origin or len(chain) != len(flat):
         raise RuntimeError("boundary traversal did not close up")
 
-    chain = np.asarray(chain)
-    out = np.zeros((len(chain), 3), dtype=np.int64)
-    out[:, 0] = tri_idx[chain]
-    out[:, 1] = local_idx[chain]
-    return out
+    return np.column_stack([tri_idx[chain], local_idx[chain]])
 
 
 @dataclass

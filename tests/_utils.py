@@ -23,7 +23,7 @@ def reference_triangle_mesh(boundary_local_edges=(2, 0, 1)):
         level=1,
         vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         triangles=np.array([[0, 1, 2]]),
-        boundary_edges=np.array([[0, loc, 0] for loc in boundary_local_edges]),
+        boundary_edges=np.array([[0, loc] for loc in boundary_local_edges]),
         vertex_slit_side=np.zeros(3, dtype=np.int8),
         tri_square=np.array([[0, 0]]),
         tri_upper=np.array([False]),

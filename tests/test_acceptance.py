@@ -194,7 +194,7 @@ def _trace_matrix(mesh, dofmap) -> np.ndarray:
     independent boundary traces.
     """
     rows = []
-    for tri, local_edge, _ in mesh.boundary_edges:
+    for tri, local_edge in mesh.boundary_edges:
         a, b = LOCAL_EDGES[local_edge]
         for t in _GAUSS_T:
             bary = np.zeros(3)

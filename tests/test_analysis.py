@@ -27,7 +27,9 @@ from steklovfem import (
     solve_pencil,
     transfer_reference,
 )
-from steklovfem.analysis import _prolongation, _richardson_fit
+from steklovfem.analysis import _paired_boundary_values, _prolongation, _richardson_fit
+from steklovfem.fem import EDGE_GAUSS_BARY, EDGE_GAUSS_WEIGHTS, evaluate_fe_many
+from steklovfem.mesh import ancestor_map
 
 from _utils import GAUSS2, boundary_edge_data, boundary_error_brute, eval_fe_brute
 
@@ -167,7 +169,8 @@ class TestTransfer:
         u = p1_interpolant(mesh, lambda x, y: x)
         trace = transfer_reference(u, mesh)
         assert trace.coarse_mesh is mesh
-        assert np.array_equal(trace.ancestor, np.arange(mesh.n_triangles))
+        assert np.array_equal(trace._coarse_tris[:, 0], mesh.boundary_edges[:, 0])
+        assert np.array_equal(trace._coarse_bary, EDGE_GAUSS_BARY[mesh.boundary_edges[:, 1]])
         assert boundary_l2_error(u, trace) == pytest.approx(0.0, abs=1e-14)
 
     def test_coarse_mesh_of_other_domain_rejected(self, get_mesh):
@@ -197,6 +200,72 @@ class TestTransfer:
         stranger = p1_interpolant(get_mesh("square", 8), lambda x, y: x)
         with pytest.raises(ValueError, match="different mesh"):
             boundary_l2_error(stranger, trace)
+
+
+def geometric_pairing(u, ref):
+    """Coarse and fine trace values at the fine boundary Gauss points.
+
+    Each point's coarse triangle is the ancestor of its fine triangle, and
+    its coarse barycentric coordinates come from solving for it in that
+    triangle's corners.
+    """
+    coarse, fine = u.mesh, ref.mesh
+    tris, locs = fine.boundary_edges.T
+    bary = EDGE_GAUSS_BARY[locs]
+    points = np.einsum("egc,ecd->egd", bary, fine.vertices[fine.triangles[tris]])
+    coarse_tris = ancestor_map(coarse, fine)[tris]
+    a, b, c = np.moveaxis(coarse.vertices[coarse.triangles[coarse_tris]], 1, 0)
+    frame = np.stack([b - a, c - a], axis=-1)[:, None]  # (ne, 1, 2, 2)
+    l12 = np.linalg.solve(np.broadcast_to(frame, points.shape + (2,)),
+                          (points - a[:, None])[..., None])[..., 0]
+    coarse_bary = np.concatenate([1.0 - l12.sum(axis=-1, keepdims=True), l12], axis=-1)
+    return (coarse_tris, coarse_bary,
+            evaluate_fe_many(u.values, u.dofmap, coarse_tris[:, None], coarse_bary),
+            evaluate_fe_many(ref.values, ref.dofmap, tris[:, None], bary))
+
+
+class TestBoundaryWalkPairing:
+    """Fine boundary edge j lies in coarse boundary edge j // r of the same walk."""
+
+    @pytest.mark.parametrize("kind", ("square", "lshape", "slit"))
+    @pytest.mark.parametrize("coarse_level", (2, 4, 8))
+    @pytest.mark.parametrize("ratio", (1, 2, 3, 4, 8))
+    def test_walk_follows_ancestors(self, get_mesh, kind, coarse_level, ratio):
+        coarse, fine = get_mesh(kind, coarse_level), get_mesh(kind, ratio * coarse_level)
+        ancestors = ancestor_map(coarse, fine)[fine.boundary_edges[:, 0]]
+        assert fine.n_boundary_edges == ratio * coarse.n_boundary_edges
+        walk = coarse.boundary_edges[np.arange(fine.n_boundary_edges) // ratio, 0]
+        assert np.array_equal(ancestors, walk)
+
+    @pytest.mark.parametrize("kind", ("square", "lshape", "slit"))
+    @pytest.mark.parametrize("family", (P1, CR))
+    @pytest.mark.parametrize("ratio", (1, 2, 3, 4, 8, 64))
+    def test_matches_geometric_pairing(self, get_mesh, kind, family, ratio):
+        coarse, fine = get_mesh(kind, 4), get_mesh(kind, 4 * ratio)
+        u = random_fe(coarse, family, seed=ratio)
+        ref = random_fe(fine, P1, seed=ratio + 1)
+        trace = transfer_reference(ref, coarse)
+        coarse_tris, coarse_bary, u_expected, ref_expected = geometric_pairing(u, ref)
+        assert np.array_equal(trace._coarse_tris[:, 0], coarse_tris)
+        assert trace._coarse_bary == pytest.approx(coarse_bary, rel=0, abs=1e-15)
+        _, u_vals, ref_vals = _paired_boundary_values(u, trace)
+        assert u_vals == pytest.approx(u_expected, rel=0, abs=1e-13)
+        assert np.array_equal(ref_vals, ref_expected)
+
+    @pytest.mark.parametrize("kind", ("square", "lshape", "slit"))
+    @pytest.mark.parametrize("family", (P1, CR))
+    def test_ratio_one_is_the_same_mesh_pairing(self, get_mesh, kind, family):
+        mesh = get_mesh(kind, 8)
+        a, b = random_fe(mesh, family, seed=11), random_fe(mesh, family, seed=12)
+        tris, locs = mesh.boundary_edges.T
+        bary = EDGE_GAUSS_BARY[locs]
+        expected = (mesh.boundary_edge_lengths()[:, None] * EDGE_GAUSS_WEIGHTS[None, :],
+                    evaluate_fe_many(a.values, a.dofmap, tris[:, None], bary),
+                    evaluate_fe_many(b.values, b.dofmap, tris[:, None], bary))
+        for paired in (_paired_boundary_values(a, b),
+                       _paired_boundary_values(a, transfer_reference(b, mesh))):
+            for got, want in zip(paired, expected):
+                assert np.array_equal(got, want)
 
 
 class TestProlongation:

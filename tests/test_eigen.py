@@ -62,6 +62,17 @@ class TestSolveSpd:
         x = factorize_spd(dense_spd_sparse(a)).solve(rhs)
         assert np.linalg.norm(a @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
+    @pytest.mark.parametrize("family", (P1, CR))
+    def test_factoring_leaves_the_matrix_unchanged(self, get_mesh, get_dofmap, family):
+        # The factor reads the full CSR arrays, through their CSC transpose.
+        a = assemble_stiffness(get_mesh("slit", 8), get_dofmap("slit", 8, family))
+        csr = a.to_csr()
+        before = [arr.copy() for arr in (csr.indptr, csr.indices, csr.data)]
+        factorize_spd(a)
+        assert a.to_csr() is csr
+        for got, want in zip((csr.indptr, csr.indices, csr.data), before):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_no_factor_outlives_solve_pencil(self, get_pencil, monkeypatch):
         # Nothing keeps the factor once the solve returns, so its memory goes
         # back without the cyclic collector.
