@@ -180,6 +180,13 @@ class TestSolveCommand:
         assert code == 2
         assert "numerical failure" in err
 
+    def test_lshape_cr_level_512_converges(self, capsys):
+        # Exited 2 after MAX_SWEEPS sweeps while the sweeps' solves were unrefined.
+        code, out, _ = run_cli("solve", "--domain", "lshape", "--level", "512",
+                               "--element", "cr", "--k", "3", capsys=capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 3
+
 
 class TestStudyCommand:
     def test_square_csv_and_report(self, tmp_path, capsys):

@@ -18,10 +18,12 @@ from steklovfem import (
     affine,
     assemble_boundary_mass,
     assemble_stiffness,
+    build_dof_map,
     compute_reference,
     constant_coefficients,
     dense_oracle,
     factorize_spd,
+    generate_mesh,
     solve_pencil,
 )
 from steklovfem import analysis, eigen
@@ -344,6 +346,19 @@ class TestSolvePencilFem:
         p1 = solve_pencil(get_pencil(kind, 8, P1), 2).eigenvalues[1]
         cr = solve_pencil(get_pencil(kind, 8, CR), 2).eigenvalues[1]
         assert cr < p1
+
+    def test_slit_cr_level_512_converges(self):
+        # Built without the get_mesh/get_dofmap caches, which would hold the
+        # level-512 arrays for the rest of the test run.  With plain factor solves every
+        # sweep repeated the solve error: the worst residual stayed at 3.6e-10
+        # and all MAX_SWEEPS sweeps ran before ConvergenceFailureError.
+        mesh = generate_mesh(DomainSpec("slit"), 512)
+        dm = build_dof_map(mesh, CR)
+        pencil = Pencil(assemble_stiffness(mesh, dm), assemble_boundary_mass(mesh, dm))
+        del mesh, dm
+        sol = solve_pencil(pencil, 2)
+        assert (sol.residual_norms <= DEFAULT_TOL).all()
+        assert sol.eigenvalues == pytest.approx([0.19433588, 0.73370327], rel=1e-7)
 
 
 class TestMultigridReference:

@@ -21,6 +21,7 @@ from steklovfem import (
     write_matrix,
 )
 from steklovfem.fem import (
+    ASSEMBLY_BLOCK,
     EDGE_GAUSS_POINTS,
     EDGE_GAUSS_WEIGHTS,
     TRIANGLE_QUADRATURE_BARY,
@@ -31,6 +32,9 @@ from steklovfem.mesh import LOCAL_EDGES
 from _utils import reference_triangle_mesh
 
 KINDS = ("square", "lshape", "slit")
+# Meshes of this level span at least three assembly blocks on every domain,
+# the last one partial (see test_multi_block_level_spans_three_blocks).
+MULTI_BLOCK_LEVEL = 150
 
 P1_STIFFNESS = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
 P1_MASS = (0.5 / 12.0) * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
@@ -207,10 +211,13 @@ class TestDofMap:
         expected = np.unique(dm.cell_dofs[mesh.boundary_edges[:, 0]].ravel())
         assert np.array_equal(dm.boundary_dofs, expected)
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_cr_edges_numbered_lexicographically(self, get_mesh, get_dofmap, kind):
-        mesh = get_mesh(kind, 8)
-        dm = get_dofmap(kind, 8, CR)
+    @pytest.mark.parametrize("kind, level", [
+        *(pytest.param(kind, 8, id=kind) for kind in KINDS),
+        *(pytest.param(kind, MULTI_BLOCK_LEVEL, id=f"{kind}-{MULTI_BLOCK_LEVEL}") for kind in KINDS),
+    ])
+    def test_cr_edges_numbered_lexicographically(self, get_mesh, get_dofmap, kind, level):
+        mesh = get_mesh(kind, level)
+        dm = get_dofmap(kind, level, CR)
         tris = mesh.triangles
         heads, tails = tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]
         keys = np.minimum(heads, tails) * mesh.n_vertices + np.maximum(heads, tails)
@@ -308,6 +315,12 @@ class TestAssemblyInvariants:
 
 class TestSixEntryKernel:
     @pytest.mark.parametrize("kind", KINDS)
+    def test_multi_block_level_spans_three_blocks(self, get_mesh, kind):
+        n = get_mesh(kind, MULTI_BLOCK_LEVEL).n_triangles
+        assert n > 2 * ASSEMBLY_BLOCK
+        assert n % ASSEMBLY_BLOCK
+
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("family", (P1, CR))
     def test_identical_to_einsum_oracle_at_level_8(self, get_mesh, get_dofmap, kind, family):
         mesh, dm = get_mesh(kind, 8), get_dofmap(kind, 8, family)
@@ -317,7 +330,7 @@ class TestSixEntryKernel:
         assert np.array_equal(got.upper.indices, want.upper.indices)
         assert np.array_equal(got.upper.data, want.upper.data)
 
-    @pytest.mark.parametrize("level", (6, 10))
+    @pytest.mark.parametrize("level", (6, 10, MULTI_BLOCK_LEVEL))
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("family", (P1, CR))
     def test_matches_einsum_oracle_off_powers_of_two(self, get_mesh, get_dofmap, kind, family, level):
@@ -346,6 +359,19 @@ class TestCoefficientValidation:
         dm = get_dofmap("lshape", 4, family)
         bad = CoefficientField(alpha=affine(0.2, -1.0, 0.0), beta=affine(1.0))
         expected = "coefficient alpha is -0.8 <= 0 at quadrature point (1, 0.125)"
+        with pytest.raises(InvalidCoefficientError, match=f"^{re.escape(expected)}$"):
+            assemble_stiffness(mesh, dm, bad)
+
+    @pytest.mark.parametrize("family", (P1, CR))
+    def test_message_names_the_mesh_minimum_past_the_first_bad_block(self, get_mesh, get_dofmap,
+                                                                    family):
+        # alpha = 0.2 - x2 first fails on the row at y = 0.2, about a quarter
+        # into the triangle order, but is smallest on the top row, in the last
+        # block; the message names the first point there, as for one block.
+        mesh, dm = get_mesh("lshape", 256), get_dofmap("lshape", 256, family)
+        assert mesh.n_triangles >= 3 * ASSEMBLY_BLOCK
+        bad = CoefficientField(alpha=affine(0.2, 0.0, -1.0), beta=affine(1.0))
+        expected = "coefficient alpha is -0.8 <= 0 at quadrature point (0.00195312, 1)"
         with pytest.raises(InvalidCoefficientError, match=f"^{re.escape(expected)}$"):
             assemble_stiffness(mesh, dm, bad)
 
