@@ -2,7 +2,7 @@
 
 Builds the unit square, the L-shaped domain (unit square minus its closed
 upper-right quadrant), and the slit square (unit square cut along the
-segment from (0, 1/2) to (1/2, 1/2)) at a small level, prints the mesh
+segment from the tip (1/2, 1/2) to (1, 1/2)) at a small level, prints the mesh
 inventory, walks the boundary, and shows how the slit is represented by
 duplicated vertices carrying a side flag.
 """
@@ -30,11 +30,14 @@ for kind in ("square", "lshape", "slit"):
     print()
 
 # Uniform refinement halves h and exactly nests the triangles: every coarse
-# triangle is split into four children.  The refinement's parent map is the
-# grid arithmetic of `ancestor_map`.  The boundary nests the same way: each
-# coarse boundary edge is a run of consecutive fine ones, which is what lets
-# studies transfer reference traces from any finer level without geometric
-# search.
+# triangle is split into four children.  The refinement's parent map is grid
+# arithmetic (`ancestor_map`): triangles 2s and 2s+1 are the lower and upper
+# halves of grid square s, and corner 0 of each is the square's lower-left
+# vertex, so a fine triangle's coarse square follows from that corner's grid
+# index and its orientation from its parity.  The boundary nests the same
+# way: each coarse boundary edge is a run of consecutive fine ones, which is
+# what lets studies transfer reference traces from any finer level without
+# geometric search.
 mesh = generate_mesh(DomainSpec("lshape"), 4)
 fine = refine(mesh)
 print(f"refining lshape level 4 -> level {fine.fine.level}: "

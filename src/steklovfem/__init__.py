@@ -13,9 +13,9 @@ eigenfunctions (rate ``h**(r + 1/2)``), where ``r`` is the corner regularity
 exponent of the domain.
 """
 
-from .mesh import (DomainSpec, InvalidLevelError, Mesh, Refinement,
-                   ancestor_map, edge_slit_sides, generate_mesh, refine,
-                   write_mesh)
+from .mesh import (DomainSpec, InvalidLevelError, Mesh, NestingError,
+                   Refinement, ancestor_map, edge_slit_sides, generate_mesh,
+                   refine, write_mesh)
 from .fem import (CR, CoefficientField, DofMap, InvalidCoefficientError, P1,
                   SymSparse, UNIT_COEFFICIENTS, affine, assemble_boundary_mass,
                   assemble_stiffness, build_dof_map, constant_coefficients,
@@ -26,10 +26,10 @@ from .eigen import (ConvergenceFailureError, EigenSolution,
 from .interp import (PointFunction, as_point_function, interpolate_cr,
                      interpolate_p1, singular_model)
 from .analysis import (AmbiguousAlignmentError, ConvergenceRow,
-                       ConvergenceTable, FeFunction, NestingError,
-                       ReferenceSolution, ReferenceSpec, TransferredTrace,
-                       UndefinedRatioError, align_sign, boundary_l2_error,
-                       compute_reference, convergence_ratio,
-                       run_convergence_study, transfer_reference)
+                       ConvergenceTable, FeFunction, ReferenceSolution,
+                       ReferenceSpec, TransferredTrace, UndefinedRatioError,
+                       align_sign, boundary_l2_error, compute_reference,
+                       convergence_ratio, run_convergence_study,
+                       transfer_reference)
 
 __version__ = "0.1.0"

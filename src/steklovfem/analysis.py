@@ -10,14 +10,15 @@ rounding level.
 The conforming reference (:func:`compute_reference`) is solved without a
 factor of its own level.  Its level is halved down to level 8 or the first
 level that cannot be halved; the P1 prolongations between these nested
-meshes, built from :func:`~.mesh.ancestor_map` and barycentric coordinates, carry
-a multigrid V-cycle that preconditions LOBPCG.  LOBPCG starts from the
-prolonged eigenvectors of a direct solve on the hierarchy level nearest an
-eighth of the reference level.  The spectrum of that start level sets the
-block width (:func:`_block_width`): LOBPCG runs as long as its slowest
-column, so the block gets spare columns past the ``k`` wanted ones only when
-no gap of ratio ``REFERENCE_GAP_RATIO`` follows ``lambda_k``, and then ends
-at the first such gap or after ``REFERENCE_SPARE_COLUMNS`` spares.
+meshes, whose weights are integer grid offsets over the level ratio
+(:func:`~.mesh._prolongation`), carry a multigrid V-cycle that preconditions
+LOBPCG.  LOBPCG starts from the prolonged eigenvectors of a direct solve on
+the hierarchy level nearest an eighth of the reference level.  The spectrum
+of that start level sets the block width (:func:`_block_width`): LOBPCG runs
+as long as its slowest column, so the block gets spare columns past the
+``k`` wanted ones only when no gap of ratio ``REFERENCE_GAP_RATIO`` follows
+``lambda_k``, and then ends at the first such gap or after
+``REFERENCE_SPARE_COLUMNS`` spares.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem
 from .eigen import (DEFAULT_SEED, DEFAULT_TOL, EigenSolution, Pencil, _multigrid_eigenpairs,
@@ -36,8 +36,8 @@ from .fem import (P1, CoefficientField, DofMap, UNIT_COEFFICIENTS,
                   assemble_boundary_mass, assemble_stiffness, build_dof_map,
                   evaluate_fe_many)
 from .interp import as_point_function
-from .mesh import (DomainSpec, InvalidLevelError, Mesh, ancestor_map, edge_slit_sides,
-                   _validate_level, generate_mesh)
+from .mesh import (DomainSpec, InvalidLevelError, Mesh, NestingError, _check_nesting,
+                   _prolongation, _validate_level, edge_slit_sides, generate_mesh)
 
 __all__ = [
     "FeFunction",
@@ -79,10 +79,6 @@ REFERENCE_SPARE_COLUMNS = 3
 
 class AmbiguousAlignmentError(Exception):
     """Raised when a sign alignment inner product is too small to trust."""
-
-
-class NestingError(ValueError):
-    """Raised when meshes handed to a transfer are not nested as claimed."""
 
 
 class UndefinedRatioError(ValueError):
@@ -143,10 +139,7 @@ class TransferredTrace:
 
     def __post_init__(self) -> None:
         fine, coarse = self.fn.mesh, self.coarse_mesh
-        if fine.domain.kind != coarse.domain.kind or fine.level % coarse.level:
-            raise NestingError(
-                f"{fine.domain.kind} level {fine.level} does not refine "
-                f"{coarse.domain.kind} level {coarse.level}")
+        _check_nesting(coarse, fine)
         tris, bary, self._weights, _, _ = _boundary_gauss(fine)
         self._values = evaluate_fe_many(self.fn.values, self.fn.dofmap, tris[:, None], bary)
         r = fine.level // coarse.level
@@ -176,47 +169,6 @@ def transfer_reference(fn: FeFunction, coarse_mesh: Mesh) -> TransferredTrace:
     0.0
     """
     return TransferredTrace(fn=fn, coarse_mesh=coarse_mesh)
-
-
-def _bary_in_triangles(mesh: Mesh, tris: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of given points inside given triangles."""
-    corners = mesh.vertices[mesh.triangles[tris]]
-    d1 = corners[..., 1, :] - corners[..., 0, :]
-    d2 = corners[..., 2, :] - corners[..., 0, :]
-    dp = points - corners[..., 0, :]
-    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-    l1 = (dp[..., 0] * d2[..., 1] - dp[..., 1] * d2[..., 0]) / det
-    l2 = (d1[..., 0] * dp[..., 1] - d1[..., 1] * dp[..., 0]) / det
-    return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
-
-
-def _prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
-    """The P1 prolongation from a coarse mesh to a nested fine one.
-
-    Row ``v`` holds the barycentric coordinates of fine vertex ``v`` in the
-    ancestor of a fine triangle around it, so a coarse P1 function's dof
-    values map to its fine interpolant.  Ancestors never straddle the slit,
-    so each slit side takes its values from its own side.
-
-    Examples
-    --------
-    >>> from .mesh import DomainSpec
-    >>> slit = DomainSpec("slit")
-    >>> p = _prolongation(generate_mesh(slit, 4), generate_mesh(slit, 8))
-    >>> p.shape, int(np.diff(p.indptr).max())
-    ((85, 27), 2)
-    """
-    owner = np.empty(fine.n_vertices, dtype=np.int64)
-    owner[fine.triangles.ravel()] = np.repeat(np.arange(fine.n_triangles), 3)
-    tris = ancestor_map(coarse, fine)[owner]
-    # Fine grid points have barycentrics in multiples of 1/r: round off the noise.
-    r = fine.level // coarse.level
-    bary = np.rint(_bary_in_triangles(coarse, tris, fine.vertices) * r) / r
-    p = sp.csr_matrix((bary.ravel(), coarse.triangles[tris].ravel(),
-                       np.arange(0, bary.size + 1, 3)),
-                      shape=(fine.n_vertices, coarse.n_vertices))
-    p.eliminate_zeros()
-    return p
 
 
 def _paired_boundary_values(u: FeFunction, ref) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,12 +17,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "DomainSpec",
     "Mesh",
     "Refinement",
     "InvalidLevelError",
+    "NestingError",
     "LOCAL_EDGES",
     "generate_mesh",
     "ancestor_map",
@@ -44,6 +46,10 @@ _KINDS = ("square", "lshape", "slit")
 
 class InvalidLevelError(ValueError):
     """Raised when a mesh level violates the domain's grid constraints."""
+
+
+class NestingError(ValueError):
+    """Raised when meshes handed to a transfer are not nested as claimed."""
 
 
 @dataclass(frozen=True)
@@ -123,10 +129,15 @@ class Mesh:
     vertex_slit_side : ndarray, shape (n_vertices,)
         ``-1`` for a vertex on the lower slit side, ``+1`` for the upper
         copy, ``0`` elsewhere (always 0 away from the slit domain).
-    tri_square : ndarray, shape (n_triangles, 2)
-        Grid square ``(i, j)`` containing each triangle.
-    tri_upper : ndarray, shape (n_triangles,)
-        True for the upper-left triangle of its square.
+    square_to_tri : ndarray, shape (level, level, 2)
+        Lower and upper triangle of grid square ``(i, j)``; ``-1`` where the
+        square lies outside the domain.
+
+    The storage order fixes the grid layout.  Grid points and squares are
+    numbered row by row from ``(0, 0)``, so vertex 0 is the origin.
+    Triangle ``2s`` is the lower triangle ``(ll, lr, ur)`` and ``2s + 1``
+    the upper triangle ``(ll, ur, ul)`` of the ``s``-th present square;
+    corner 0 of both is the square's lower-left vertex.
     """
 
     domain: DomainSpec
@@ -135,8 +146,6 @@ class Mesh:
     triangles: np.ndarray
     boundary_edges: np.ndarray
     vertex_slit_side: np.ndarray
-    tri_square: np.ndarray
-    tri_upper: np.ndarray
     square_to_tri: np.ndarray = field(repr=False)
 
     @property
@@ -200,82 +209,40 @@ def generate_mesh(domain: DomainSpec, level: int) -> Mesh:
     n = int(level)
     half = n // 2
 
-    # Grid points present in the closed domain, indexed (i, j) for the point
-    # (i/n, j/n).  The L-shape drops the open upper-right quadrant.
-    gi, gj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    if domain.kind == "lshape":
-        point_mask = ~((2 * gi > n) & (2 * gj > n))
-    else:
-        point_mask = np.ones_like(gi, dtype=bool)
+    # Grid point (i/n, j/n) sits at [j, i]; ids number the present points row
+    # by row (absent points are never read).  The L-shape drops the open
+    # upper-right quadrant.
+    j, i = np.mgrid[:n + 1, :n + 1]
+    present = ~((domain.kind == "lshape") & (2 * i > n) & (2 * j > n))
+    vid = np.cumsum(present).reshape(n + 1, n + 1) - 1
+    vertices = np.column_stack([i[present] / n, j[present] / n])
+    n_orig = len(vertices)
 
-    # Vertex ids in row-major (j outer, i inner) order over present points.
-    flat_mask = point_mask.T.ravel()  # (j, i) ordering
-    vid_flat = np.cumsum(flat_mask) - 1
-    vid = np.full((n + 1, n + 1), -1, dtype=np.int64)
-    vid_t = np.where(flat_mask, vid_flat, -1).reshape(n + 1, n + 1)  # [j, i]
-    vid[:, :] = vid_t.T  # [i, j]
-    n_orig = int(flat_mask.sum())
-
-    xs = (gi / n)[point_mask]
-    ys = (gj / n)[point_mask]
-    # Reorder coordinates to match the (j, i) id ordering.
-    coords = np.empty((n_orig, 2))
-    coords[vid[point_mask], 0] = xs
-    coords[vid[point_mask], 1] = ys
-
+    # Bottom corners of squares see ``below``, top corners ``vid``.  On the
+    # slit the two differ right of the tip: the original grid copy serves the
+    # lower side, an appended copy the upper side.
+    below = vid
     slit_side = np.zeros(n_orig, dtype=np.int8)
     if domain.kind == "slit":
-        # Duplicate the vertices strictly right of the tip; the original grid
-        # copy serves the lower side, the appended copy the upper side.
-        slit_is = np.arange(half + 1, n + 1)
-        dup_ids = n_orig + np.arange(len(slit_is))
-        dup_coords = np.column_stack([slit_is / n, np.full(len(slit_is), 0.5)])
-        coords = np.vstack([coords, dup_coords])
-        orig_ids = vid[slit_is, half]
-        slit_side = np.concatenate([slit_side, np.ones(len(slit_is), dtype=np.int8)])
-        slit_side[orig_ids] = -1
-        dup_lookup = np.full(n + 1, -1, dtype=np.int64)
-        dup_lookup[slit_is] = dup_ids
-    vertices = coords
+        lower = vid[half, half + 1:]
+        vertices = np.vstack([vertices, vertices[lower]])
+        slit_side = np.concatenate([slit_side, np.ones(len(lower), dtype=np.int8)])
+        slit_side[lower] = -1
+        below = vid.copy()
+        below[half, half + 1:] = n_orig + np.arange(len(lower))
 
-    # Grid squares present, in (j outer, i inner) order.
-    si, sj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    if domain.kind == "lshape":
-        square_mask = (2 * (si + 1) <= n) | (2 * (sj + 1) <= n)
-    else:
-        square_mask = np.ones_like(si, dtype=bool)
-    sq_j, sq_i = np.nonzero(square_mask.T)  # row-major over (j, i)
+    # A grid square is present exactly when its upper-right corner is.
+    sq_j, sq_i = np.nonzero(present[1:, 1:])
     n_squares = len(sq_i)
-
-    def corner_ids(ci: np.ndarray, cj: np.ndarray) -> np.ndarray:
-        ids = vid[ci, cj]
-        if domain.kind == "slit":
-            # Squares above the slit see the duplicated upper copies.
-            on_slit = (2 * cj == n) & (2 * ci > n) & (sq_j >= half)
-            if on_slit.any():
-                ids = np.where(on_slit, dup_lookup[ci], ids)
-        return ids
-
-    ll = corner_ids(sq_i, sq_j)
-    lr = corner_ids(sq_i + 1, sq_j)
-    ur = corner_ids(sq_i + 1, sq_j + 1)
-    ul = corner_ids(sq_i, sq_j + 1)
-
+    ll, lr = below[sq_j, sq_i], below[sq_j, sq_i + 1]
+    ur, ul = vid[sq_j + 1, sq_i + 1], vid[sq_j + 1, sq_i]
     # Lower triangle (ll, lr, ur), then upper triangle (ll, ur, ul); both CCW.
-    triangles = np.empty((2 * n_squares, 3), dtype=np.int64)
-    triangles[0::2] = np.column_stack([ll, lr, ur])
-    triangles[1::2] = np.column_stack([ll, ur, ul])
-    tri_square = np.empty((2 * n_squares, 2), dtype=np.int64)
-    tri_square[0::2] = np.column_stack([sq_i, sq_j])
-    tri_square[1::2] = np.column_stack([sq_i, sq_j])
-    tri_upper = np.zeros(2 * n_squares, dtype=bool)
-    tri_upper[1::2] = True
+    triangles = np.column_stack([ll, lr, ur, ll, ur, ul]).reshape(-1, 3)
 
     square_to_tri = np.full((n, n, 2), -1, dtype=np.int64)
-    square_to_tri[sq_i, sq_j, 0] = np.arange(0, 2 * n_squares, 2)
-    square_to_tri[sq_i, sq_j, 1] = np.arange(1, 2 * n_squares, 2)
+    square_to_tri[sq_i, sq_j] = np.arange(2 * n_squares).reshape(-1, 2)
 
-    boundary_edges = _ordered_boundary(domain, vertices, triangles, square_to_tri)
+    boundary_edges = _ordered_boundary(domain, triangles, square_to_tri)
 
     return Mesh(
         domain=domain,
@@ -284,15 +251,13 @@ def generate_mesh(domain: DomainSpec, level: int) -> Mesh:
         triangles=triangles,
         boundary_edges=boundary_edges,
         vertex_slit_side=slit_side,
-        tri_square=tri_square,
-        tri_upper=tri_upper,
         square_to_tri=square_to_tri,
     )
 
 
-def _ordered_boundary(domain: DomainSpec, vertices: np.ndarray, triangles: np.ndarray,
+def _ordered_boundary(domain: DomainSpec, triangles: np.ndarray,
                       square_to_tri: np.ndarray) -> np.ndarray:
-    """Find boundary edges and chain them CCW starting from (0, 0).
+    """Find boundary edges and chain them CCW starting from vertex 0 at (0, 0).
 
     A lower triangle's right and bottom edges and an upper triangle's top
     and left edges lie on the boundary when no grid square sits behind
@@ -325,14 +290,13 @@ def _ordered_boundary(domain: DomainSpec, vertices: np.ndarray, triangles: np.nd
             raise RuntimeError("boundary is not a simple closed curve")
         next_edge[int(a)] = pos
 
-    origin = int(np.flatnonzero((vertices[:, 0] == 0.0) & (vertices[:, 1] == 0.0))[0])
     chain = []
-    cursor = origin
+    cursor = 0
     for _ in range(len(flat)):
         pos = next_edge[cursor]
         chain.append(pos)
         cursor = int(stops[pos])
-    if cursor != origin or len(chain) != len(flat):
+    if cursor != 0 or len(chain) != len(flat):
         raise RuntimeError("boundary traversal did not close up")
 
     return np.column_stack([tri_idx[chain], local_idx[chain]])
@@ -347,6 +311,19 @@ class Refinement:
     parent_of: np.ndarray
 
 
+def _check_nesting(coarse: Mesh, fine: Mesh) -> None:
+    """Raise :class:`NestingError` unless ``fine`` refines ``coarse`` on the same grid."""
+    if fine.domain.kind != coarse.domain.kind or fine.level % coarse.level:
+        raise NestingError(
+            f"{fine.domain.kind} level {fine.level} does not refine "
+            f"{coarse.domain.kind} level {coarse.level}")
+
+
+def _grid_points(mesh: Mesh, ids=slice(None)) -> np.ndarray:
+    """Integer grid coordinates ``(i, j)`` of the given vertices, one row each."""
+    return np.rint(mesh.vertices[ids] * mesh.level).astype(np.int64)
+
+
 def ancestor_map(coarse: Mesh, fine: Mesh) -> np.ndarray:
     """The coarse triangle containing each fine triangle.
 
@@ -356,26 +333,74 @@ def ancestor_map(coarse: Mesh, fine: Mesh) -> np.ndarray:
     not from a geometric search, and every coarse triangle has exactly
     ``r**2`` descendants.
 
+    Raises
+    ------
+    NestingError
+        If the meshes cover different domains or ``coarse.level`` does not
+        divide ``fine.level``.
+
     Examples
     --------
     >>> square = DomainSpec("square")
     >>> anc = ancestor_map(generate_mesh(square, 2), generate_mesh(square, 4))
     >>> np.bincount(anc).tolist()
     [4, 4, 4, 4, 4, 4, 4, 4]
+    >>> ancestor_map(generate_mesh(square, 4), generate_mesh(square, 6))
+    Traceback (most recent call last):
+    ...
+    steklovfem.mesh.NestingError: square level 6 does not refine square level 4
     """
+    _check_nesting(coarse, fine)
     r = fine.level // coarse.level
-    # Coarse square (ci, cj) and the fine square's offset (a, b) inside it.
-    (ci, cj), (a, b) = np.divmod(fine.tri_square.T, r)
-    # Sub-squares on the coarse diagonal (a == b) keep the fine orientation;
-    # the off-diagonal sub-squares lie wholly in one coarse triangle.
-    upper = np.where(a == b, fine.tri_upper, b > a)
-    ancestor = coarse.square_to_tri[ci, cj, upper.astype(np.int64)]
+    # A fine triangle's corner 0 is its square's lower-left grid point: that
+    # gives the coarse square (ci, cj) and the fine square's offset (a, b) in it.
+    (ci, cj), (a, b) = np.divmod(_grid_points(fine, fine.triangles[:, 0]).T, r)
+    # Sub-squares on the coarse diagonal (a == b) keep the fine orientation,
+    # odd triangles being upper; the off-diagonal sub-squares lie wholly in
+    # one coarse triangle.
+    upper = np.where(a == b, np.arange(fine.n_triangles) % 2, b > a)
+    ancestor = coarse.square_to_tri[ci, cj, upper]
     if (ancestor < 0).any():
         raise RuntimeError("a fine triangle falls outside the coarse mesh")
     counts = np.bincount(ancestor, minlength=coarse.n_triangles)
     if not (counts == r * r).all():
         raise RuntimeError(f"each coarse triangle must have exactly {r * r} descendants")
     return ancestor
+
+
+def _prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
+    """The P1 prolongation from a coarse mesh to a nested fine one.
+
+    Row ``v`` holds the barycentric coordinates of fine vertex ``v`` in the
+    ancestor of a fine triangle around it, so a coarse P1 function's dof
+    values map to its fine interpolant.  The coordinates are grid
+    arithmetic: with ``(a, b)`` the vertex's offset in fine steps from the
+    lower-left corner of the ancestor's square, they are ``(r - a, a - b,
+    b) / r`` in a lower and ``(r - b, a, b - a) / r`` in an upper triangle.
+    Ancestors never straddle the slit, so each slit side takes its values
+    from its own side.
+
+    Examples
+    --------
+    >>> slit = DomainSpec("slit")
+    >>> p = _prolongation(generate_mesh(slit, 4), generate_mesh(slit, 8))
+    >>> p.shape, int(np.diff(p.indptr).max())
+    ((85, 27), 2)
+    """
+    owner = np.empty(fine.n_vertices, dtype=np.int64)
+    owner[fine.triangles.ravel()] = np.repeat(np.arange(fine.n_triangles), 3)
+    tris = ancestor_map(coarse, fine)[owner]
+    r = fine.level // coarse.level
+    a, b = (_grid_points(fine) - r * _grid_points(coarse, coarse.triangles[tris, 0])).T
+    # Odd coarse triangles are upper.  Integer numerators divided by r, not
+    # 1 - a/r, so each weight is the float nearest its multiple of 1/r.
+    bary = np.where((tris % 2 == 1)[:, None], np.column_stack([r - b, a, b - a]),
+                    np.column_stack([r - a, a - b, b])) / r
+    p = sp.csr_matrix((bary.ravel(), coarse.triangles[tris].ravel(),
+                       np.arange(0, bary.size + 1, 3)),
+                      shape=(fine.n_vertices, coarse.n_vertices))
+    p.eliminate_zeros()
+    return p
 
 
 def refine(mesh: Mesh) -> Refinement:

@@ -25,8 +25,6 @@ def reference_triangle_mesh(boundary_local_edges=(2, 0, 1)):
         triangles=np.array([[0, 1, 2]]),
         boundary_edges=np.array([[0, loc] for loc in boundary_local_edges]),
         vertex_slit_side=np.zeros(3, dtype=np.int8),
-        tri_square=np.array([[0, 0]]),
-        tri_upper=np.array([False]),
         square_to_tri=np.array([[[0, -1]]]),
     )
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from steklovfem import (
     AmbiguousAlignmentError,
@@ -27,9 +28,9 @@ from steklovfem import (
     solve_pencil,
     transfer_reference,
 )
-from steklovfem.analysis import _paired_boundary_values, _prolongation, _richardson_fit
+from steklovfem.analysis import _paired_boundary_values, _richardson_fit
 from steklovfem.fem import EDGE_GAUSS_BARY, EDGE_GAUSS_WEIGHTS, evaluate_fe_many
-from steklovfem.mesh import ancestor_map
+from steklovfem.mesh import _prolongation, ancestor_map
 
 from _utils import GAUSS2, boundary_edge_data, boundary_error_brute, eval_fe_brute
 
@@ -268,7 +269,39 @@ class TestBoundaryWalkPairing:
                 assert np.array_equal(got, want)
 
 
+def geometric_prolongation(coarse, fine):
+    """The P1 prolongation from solving for each fine vertex's barycentric
+    coordinates in the ancestor of a fine triangle around it, rounded to the
+    nearest multiple of 1/r."""
+    owner = np.empty(fine.n_vertices, dtype=np.int64)
+    owner[fine.triangles.ravel()] = np.repeat(np.arange(fine.n_triangles), 3)
+    tris = ancestor_map(coarse, fine)[owner]
+    corners = coarse.vertices[coarse.triangles[tris]]
+    d1 = corners[..., 1, :] - corners[..., 0, :]
+    d2 = corners[..., 2, :] - corners[..., 0, :]
+    dp = fine.vertices - corners[..., 0, :]
+    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    l1 = (dp[..., 0] * d2[..., 1] - dp[..., 1] * d2[..., 0]) / det
+    l2 = (d1[..., 0] * dp[..., 1] - d1[..., 1] * dp[..., 0]) / det
+    r = fine.level // coarse.level
+    bary = np.rint(np.stack([1.0 - l1 - l2, l1, l2], axis=-1) * r) / r
+    p = sp.csr_matrix((bary.ravel(), coarse.triangles[tris].ravel(),
+                       np.arange(0, bary.size + 1, 3)),
+                      shape=(fine.n_vertices, coarse.n_vertices))
+    p.eliminate_zeros()
+    return p
+
+
 class TestProlongation:
+    @pytest.mark.parametrize("kind", ("square", "lshape", "slit"))
+    @pytest.mark.parametrize("ratio", (2, 3, 4, 8, 64))
+    def test_matches_geometric_prolongation_bitwise(self, get_mesh, kind, ratio):
+        coarse, fine = get_mesh(kind, 4), get_mesh(kind, 4 * ratio)
+        got, want = _prolongation(coarse, fine), geometric_prolongation(coarse, fine)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("kind", ("square", "lshape", "slit"))
     @pytest.mark.parametrize("coarse_level, fine_level", ((8, 16), (8, 24), (16, 64)))
     def test_linear_functions_transfer_exactly(self, get_mesh, kind, coarse_level, fine_level):

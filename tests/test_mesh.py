@@ -8,6 +8,7 @@ from _utils import barycentric, undirected_edge_count
 from steklovfem import (
     DomainSpec,
     InvalidLevelError,
+    NestingError,
     ancestor_map,
     generate_mesh,
     refine,
@@ -282,10 +283,50 @@ class TestAncestorMap:
             assert barycentric(c, p).min() > -1e-12
 
     def test_other_domain_rejected(self, get_mesh):
-        with pytest.raises(RuntimeError, match="outside the coarse mesh"):
+        with pytest.raises(NestingError, match="does not refine"):
             ancestor_map(get_mesh("lshape", 4), get_mesh("square", 8))
-        with pytest.raises(RuntimeError, match="exactly 4 descendants"):
+        with pytest.raises(NestingError, match="does not refine"):
             ancestor_map(get_mesh("square", 4), get_mesh("lshape", 8))
+
+    @pytest.mark.parametrize("coarse, fine", [
+        (("square", 4), ("slit", 8)),
+        (("slit", 4), ("square", 8)),
+        (("square", 4), ("square", 6)),
+        (("square", 4), ("square", 10)),
+        (("square", 8), ("square", 4)),
+    ])
+    def test_non_refinement_rejected(self, get_mesh, coarse, fine):
+        with pytest.raises(NestingError, match="does not refine"):
+            ancestor_map(get_mesh(*coarse), get_mesh(*fine))
+
+
+class TestStorageOrder:
+    """Triangles 2s and 2s+1 are the lower and upper halves of the s-th present
+    grid square, squares numbered row by row; corner 0 is the lower-left vertex."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("level", (2, 8, 150))
+    def test_squares_row_by_row(self, get_mesh, kind, level):
+        m = get_mesh(kind, level)
+        sq_j, sq_i = np.nonzero(m.square_to_tri[..., 0].T >= 0)
+        assert np.array_equal(m.square_to_tri[sq_i, sq_j],
+                              np.arange(m.n_triangles).reshape(-1, 2))
+        lower, upper = m.triangles[0::2], m.triangles[1::2]
+        assert np.array_equal(lower[:, 0], upper[:, 0])
+        assert np.array_equal(m.vertices[lower[:, 0]], np.column_stack([sq_i, sq_j]) / level)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("level", (2, 8, 150))
+    def test_corner_layout(self, get_mesh, kind, level):
+        m = get_mesh(kind, level)
+        grid = np.rint(m.vertices * level).astype(np.int64)
+        assert np.array_equal(m.vertices, grid / level)
+        lower, upper = m.triangles[0::2], m.triangles[1::2]
+        assert (grid[lower[:, 1]] - grid[lower[:, 0]] == [1, 0]).all()
+        assert (grid[upper[:, 2]] - grid[upper[:, 0]] == [0, 1]).all()
+        assert (grid[lower[:, 2]] - grid[lower[:, 0]] == [1, 1]).all()
+        assert np.array_equal(lower[:, 2], upper[:, 1])
+        assert tuple(m.vertices[0]) == (0.0, 0.0)
 
 
 class TestMeshDump:
