@@ -1,7 +1,8 @@
 """Command line front end: mesh generation, assembly, solves, and studies.
 
 Exit codes: 0 on success, 1 for usage errors (bad flags, invalid levels or
-coefficients), 2 for numerical failures (factorization or convergence).
+coefficients, an ``--out`` path that cannot be written), 2 for numerical
+failures (factorization or convergence).
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidLevelError, InvalidCoefficientError, ValueError) as exc:
+    except (InvalidLevelError, InvalidCoefficientError, ValueError, OSError) as exc:
         print(f"steklovfem: error: {exc}", file=sys.stderr)
         return 1
     except (NotPositiveDefiniteError, ConvergenceFailureError) as exc:

@@ -187,13 +187,12 @@ def _start_block(factor: SpdFactor, b_csr: sp.csr_matrix, k: int,
     bd = np.flatnonzero(np.diff(b_csr.indptr))
     nb = bd.size
 
-    def harmonic(block: np.ndarray) -> np.ndarray:
-        lifted = np.zeros((n, block.shape[1]))
-        lifted[bd] = block
-        return factor.solve(b_csr @ lifted)
+    # Every stored column of B lies in bd, in order, so B[:, bd] @ block sums
+    # the same products as B @ (block zero-padded to n rows), without the padding.
+    b_cols = b_csr[:, bd]
 
     if nb <= 3 * (2 * k + 1):
-        return np.linalg.qr(harmonic(rng.standard_normal((nb, nb))))[0]
+        return np.linalg.qr(factor.solve(b_cols @ rng.standard_normal((nb, nb))))[0]
 
     def schur_inv(r: np.ndarray) -> np.ndarray:
         x = np.zeros(n)
@@ -211,7 +210,7 @@ def _start_block(factor: SpdFactor, b_csr: sp.csr_matrix, k: int,
     except spla.ArpackNoConvergence as exc:
         found = exc.eigenvectors
         block = np.hstack([found, rng.standard_normal((nb, k + 3 - found.shape[1]))])
-    return harmonic(block)
+    return factor.solve(b_cols @ block)
 
 
 def solve_pencil(pencil: Pencil, k: int, tol: float = DEFAULT_TOL,
@@ -243,16 +242,28 @@ def solve_pencil(pencil: Pencil, k: int, tol: float = DEFAULT_TOL,
     a_csr = pencil.a.to_csr()
     b_csr = pencil.b.to_csr()
 
-    z = _start_block(factor, b_csr, k, np.random.default_rng(seed))
+    # Passed without a name, so the sweeps can drop the start block after its last use.
+    return _rayleigh_ritz_sweeps(a_csr, b_csr,
+                                 _start_block(factor, b_csr, k, np.random.default_rng(seed)),
+                                 k, tol, _refined_inverse(factor, a_csr), MAX_SWEEPS)
+
+
+def _refined_inverse(factor: SpdFactor,
+                     a_csr: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
+    """``A^{-1}`` as a factor solve plus one step of iterative refinement.
+
+    Without the refinement every sweep repeats the factor's solve error, and
+    on CR level 512 the residuals stall above tol.  The residual ``b - A x``
+    overwrites the argument ``b``.
+    """
 
     def a_inv(rhs: np.ndarray) -> np.ndarray:
-        # One step of iterative refinement: without it every sweep repeats the
-        # factor's solve error, and on CR level 512 the residuals stall above tol.
         x = factor.solve(rhs)
-        x += factor.solve(rhs - a_csr @ x)
+        rhs -= a_csr @ x
+        x += factor.solve(rhs)
         return x
 
-    return _rayleigh_ritz_sweeps(a_csr, b_csr, z, k, tol, a_inv, MAX_SWEEPS)
+    return a_inv
 
 
 def _rayleigh_ritz_sweeps(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix, z: np.ndarray, k: int,
@@ -261,19 +272,29 @@ def _rayleigh_ritz_sweeps(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix, z: np.ndar
     """Rayleigh-Ritz on ``span(z)``, then inverse subspace iteration until converged.
 
     Each sweep after the first replaces the block by ``a_inv(B u)``, where
-    ``a_inv`` applies ``A^{-1}`` to a block of columns, and projects again;
-    the loop returns as soon as every requested pair reaches the relative
-    residual tolerance.
+    ``a_inv`` applies ``A^{-1}`` to a block of columns and may overwrite its
+    argument, and projects again; the loop returns as soon as every
+    requested pair reaches the relative residual tolerance.
+
+    Every ``n``-row block is dropped after its last use.  Besides its Ritz
+    block a sweep holds at most four ``n x k`` blocks: the candidate
+    vectors, their images under ``A`` and ``B`` (the residual overwrites
+    them), and the temporary of a column norm; while ``a_inv`` runs, only
+    ``B u`` is alive.  A caller that passes ``z`` without keeping a name for
+    it lets the first sweep free it.
     """
     eigenvalues = np.full(k, np.nan)
     residuals = np.full(k, np.inf)
-    x = z
 
     for sweep in range(max_sweeps):
         if sweep:
-            z = a_inv(b_csr @ x)
+            bx = b_csr @ x
+            del x
+            z = a_inv(bx)
+            del bx
         az = a_csr @ z
         a_small = _sym(z.T @ az)
+        del az
         s, q = sla.eigh(a_small)
         keep = s > max(s.max(), 0.0) * 1e-13
         if not keep.any():
@@ -287,18 +308,20 @@ def _rayleigh_ritz_sweeps(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix, z: np.ndar
         mu, v = sla.eigh(b_small)
         mu = mu[::-1]
         v = v[:, ::-1]
-        u = z @ (w @ v)
-        x = u
+        x = z @ (w @ v)
+        del z
 
         lam = 1.0 / mu[:k]
-        cand = u[:, :k] / np.sqrt(mu[:k])
+        cand = x[:, :k] / np.sqrt(mu[:k])
         au = a_csr @ cand
         bu = b_csr @ cand
-        res = np.linalg.norm(au - bu * lam, axis=0) / np.linalg.norm(au, axis=0)
+        scale = np.linalg.norm(au, axis=0)
+        bu *= lam
+        res = np.linalg.norm(np.subtract(au, bu, out=au), axis=0) / scale
         eigenvalues, residuals = lam, res
         if (res <= tol).all():
-            return EigenSolution(eigenvalues=lam.copy(), eigenvectors=cand.copy(),
-                                 residual_norms=res.copy())
+            return EigenSolution(eigenvalues=lam, eigenvectors=cand, residual_norms=res)
+        del cand, au, bu
 
     raise ConvergenceFailureError(
         f"subspace iteration did not reach tol={tol:g} in {max_sweeps} sweeps "

@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+import steklovfem
 from steklovfem import (
     DomainSpec,
     Pencil,
@@ -76,3 +79,12 @@ def get_pencil(get_mesh, get_dofmap):
         return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def package_env():
+    """Environment for a child ``python -m steklovfem``: it imports the package
+    the tests import, installed or not."""
+    src = os.path.dirname(os.path.dirname(steklovfem.__file__))
+    paths = (src, os.environ.get("PYTHONPATH"))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}

@@ -283,7 +283,7 @@ def test_criterion_8_square_rates(acceptance_report):
           f"max deviation from 2.0 is {worst:.3f} (tol 0.1)")
 
 
-def test_criterion_9_cli_reproduction(tmp_path, acceptance_report):
+def test_criterion_9_cli_reproduction(tmp_path, acceptance_report, package_env):
     """Full command-line study on both concave domains within 15 minutes."""
     start = time.perf_counter()
     failures = []
@@ -293,7 +293,7 @@ def test_criterion_9_cli_reproduction(tmp_path, acceptance_report):
             [sys.executable, "-m", "steklovfem", "study", "--domain", kind,
              "--element", "p1", "--min-level", "8", "--max-level", "256",
              "--ref-level", "512", "--out", str(out)],
-            capture_output=True, text=True, timeout=900)
+            capture_output=True, text=True, timeout=900, env=package_env)
         if proc.returncode != 0:
             failures.append(f"{kind}: exit {proc.returncode}\n{proc.stderr}")
         elif len(out.read_text().strip().splitlines()) != 7:

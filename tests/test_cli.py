@@ -91,6 +91,14 @@ class TestMeshCommand:
             main(["mesh", "--domain", "pentagon", "--level", "2"])
         assert excinfo.value.code == 1
 
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "mesh.txt"
+        code, out, err = run_cli("mesh", "--domain", "square", "--level", "2",
+                                 "--out", str(target), capsys=capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("steklovfem: error: ") and err.count("\n") == 1
+        assert str(target) in err
+
 
 class TestAssembleCommand:
     def test_stiffness_header_and_dimension(self, capsys):
@@ -180,6 +188,15 @@ class TestSolveCommand:
         assert code == 2
         assert "numerical failure" in err
 
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "solve.txt"
+        code, out, err = run_cli("solve", "--domain", "square", "--level", "2",
+                                 "--element", "p1", "--k", "2", "--out", str(target),
+                                 capsys=capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("steklovfem: error: ") and err.count("\n") == 1
+        assert str(target) in err
+
     def test_lshape_cr_level_512_converges(self, capsys):
         # Exited 2 after MAX_SWEEPS sweeps while the sweeps' solves were unrefined.
         code, out, _ = run_cli("solve", "--domain", "lshape", "--level", "512",
@@ -238,10 +255,10 @@ class TestStudyCommand:
         assert "ref-level" in err
 
 
-def test_module_entry_point_smoke():
+def test_module_entry_point_smoke(package_env):
     proc = subprocess.run(
         [sys.executable, "-m", "steklovfem", "solve", "--domain", "square",
          "--level", "2", "--element", "p1", "--k", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=package_env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("lambda_1 = 0.24207171")

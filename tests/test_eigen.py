@@ -1,8 +1,10 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from steklovfem import (
@@ -10,6 +12,7 @@ from steklovfem import (
     CoefficientField,
     ConvergenceFailureError,
     DomainSpec,
+    EigenSolution,
     NotPositiveDefiniteError,
     P1,
     Pencil,
@@ -452,3 +455,209 @@ class TestMultigridReference:
                                         tol=1e-300)
         assert excinfo.value.eigenvalues.shape == (2,)
         assert (excinfo.value.residuals > 1e-300).all()
+
+
+def reference_sweeps(a_csr, b_csr, z, k, tol, a_inv, max_sweeps):
+    """Oracle: the sweeps with every block kept until its name is rebound.
+
+    The residual is formed out of place and the results are copied.
+    """
+    eigenvalues = np.full(k, np.nan)
+    residuals = np.full(k, np.inf)
+    x = z
+
+    for sweep in range(max_sweeps):
+        if sweep:
+            z = a_inv(b_csr @ x)
+        az = a_csr @ z
+        a_small = eigen._sym(z.T @ az)
+        s, q = sla.eigh(a_small)
+        keep = s > max(s.max(), 0.0) * 1e-13
+        if not keep.any():
+            raise ConvergenceFailureError(
+                "iteration block collapsed into the kernel of B", eigenvalues, residuals)
+        w = q[:, keep] / np.sqrt(s[keep])
+        if w.shape[1] < k:
+            raise ValueError(
+                f"pencil appears to have fewer than k={k} finite eigenvalues")
+        b_small = eigen._sym(w.T @ (z.T @ (b_csr @ z)) @ w)
+        mu, v = sla.eigh(b_small)
+        mu = mu[::-1]
+        v = v[:, ::-1]
+        u = z @ (w @ v)
+        x = u
+
+        lam = 1.0 / mu[:k]
+        cand = u[:, :k] / np.sqrt(mu[:k])
+        au = a_csr @ cand
+        bu = b_csr @ cand
+        res = np.linalg.norm(au - bu * lam, axis=0) / np.linalg.norm(au, axis=0)
+        eigenvalues, residuals = lam, res
+        if (res <= tol).all():
+            return EigenSolution(eigenvalues=lam.copy(), eigenvectors=cand.copy(),
+                                 residual_norms=res.copy())
+
+    raise ConvergenceFailureError(
+        f"subspace iteration did not reach tol={tol:g} in {max_sweeps} sweeps "
+        f"(worst residual {residuals.max():g})", eigenvalues, residuals)
+
+
+def padded_harmonic(factor, b_csr, block):
+    """Oracle: ``A^{-1} B`` on ``block`` zero-padded from the boundary dofs to ``n`` rows."""
+    bd = np.flatnonzero(np.diff(b_csr.indptr))
+    lifted = np.zeros((b_csr.shape[0], block.shape[1]))
+    lifted[bd] = block
+    return factor.solve(b_csr @ lifted)
+
+
+def bits(a):
+    return a.shape, a.dtype, np.ascontiguousarray(a).tobytes()
+
+
+def assert_same_bits(got, want):
+    for name in ("eigenvalues", "eigenvectors", "residual_norms"):
+        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+
+
+class TestSweepsBitIdentity:
+    """Freeing blocks early changes no bit of the eigenpairs."""
+
+    @staticmethod
+    def oracle(pencil, k, calls):
+        """``solve_pencil`` with the oracle sweeps and a refined solve that keeps its argument.
+
+        ``calls`` gets one entry per refined solve.
+        """
+        factor = factorize_spd(pencil.a)
+        a_csr, b_csr = pencil.a.to_csr(), pencil.b.to_csr()
+
+        def a_inv(rhs):
+            calls.append(1)
+            x = factor.solve(rhs)
+            x += factor.solve(rhs - a_csr @ x)
+            return x
+
+        z = eigen._start_block(factor, b_csr, k, np.random.default_rng(eigen.DEFAULT_SEED))
+        return reference_sweeps(a_csr, b_csr, z, k, DEFAULT_TOL, a_inv, eigen.MAX_SWEEPS)
+
+    @pytest.mark.parametrize("kind", ("square", "lshape", "slit"))
+    @pytest.mark.parametrize("family, level", ((P1, 32), (CR, 16)))
+    def test_solve_pencil_matches_oracle(self, get_pencil, kind, family, level):
+        pencil = get_pencil(kind, level, family)
+        sol = solve_pencil(pencil, 6)
+        assert_same_bits(sol, self.oracle(pencil, 6, []))
+        assert sol.eigenvectors.base is None and sol.eigenvectors.flags.owndata
+
+    @pytest.mark.parametrize("kind, family, level", (("lshape", P1, 32), ("slit", CR, 16),
+                                                     ("square", P1, 4)))
+    def test_start_block_matches_padded_harmonic(self, get_pencil, monkeypatch,
+                                                  kind, family, level):
+        # square P1 level 4 has 16 boundary dofs and takes the Gaussian start.
+        pencil, k = get_pencil(kind, level, family), 4
+        factor, b_csr = factorize_spd(pencil.a), pencil.b.to_csr()
+        eigsh, blocks = spla.eigsh, []
+
+        def recorded(*args, **kwargs):
+            result = eigsh(*args, **kwargs)
+            blocks.append(result[1])
+            return result
+
+        monkeypatch.setattr(spla, "eigsh", recorded)
+        got = eigen._start_block(factor, b_csr, k, np.random.default_rng(7))
+        if level == 4:
+            assert not blocks
+            nb = np.count_nonzero(np.diff(b_csr.indptr))
+            gaussian = np.random.default_rng(7).standard_normal((nb, nb))
+            want = np.linalg.qr(padded_harmonic(factor, b_csr, gaussian))[0]
+        else:
+            want = padded_harmonic(factor, b_csr, blocks[0])
+        assert bits(got) == bits(want)
+
+    def test_many_refined_sweeps_match_oracle(self, get_pencil, monkeypatch):
+        # Lanczos stops short, so the sweeps start from a Gaussian k + 3 block.
+        pencil, calls, eigsh = get_pencil("lshape", 16, P1), [], spla.eigsh
+
+        def stalled(*args, **kwargs):
+            mu, x = eigsh(*args, **kwargs)
+            raise spla.ArpackNoConvergence("stalled", mu[:0], x[:, :0])
+
+        monkeypatch.setattr(spla, "eigsh", stalled)
+        sol = solve_pencil(pencil, 4)
+        assert_same_bits(sol, self.oracle(pencil, 4, calls))
+        assert len(calls) >= 3
+
+    def test_multigrid_reference_matches_oracle(self, monkeypatch):
+        runs = {}
+        for name, impl in (("lean", eigen._rayleigh_ritz_sweeps), ("oracle", reference_sweeps)):
+            runs[name] = solutions = []
+
+            def recorded(*args, impl=impl, solutions=solutions):
+                solutions.append(impl(*args))
+                return solutions[-1]
+
+            monkeypatch.setattr(eigen, "_rayleigh_ritz_sweeps", recorded)
+            compute_reference(DomainSpec("slit"), 64)
+        # The direct solve at the start level, then the multigrid sweeps.
+        assert len(runs["lean"]) == len(runs["oracle"]) == 2
+        for got, want in zip(runs["lean"], runs["oracle"]):
+            assert_same_bits(got, want)
+
+
+class TestSweepsMemory:
+    """Each ``n``-row block of the sweeps is dropped after its last use.
+
+    tracemalloc sees numpy's data buffers.  The start block is passed
+    without a name, so the sweeps can free it, and the peak is taken above
+    the traced memory at entry, which holds the start block.
+    """
+
+    @staticmethod
+    def peak_blocks(a_csr, b_csr, make_start, k, a_inv):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            starts = [make_start()]
+            tracemalloc.reset_peak()
+            entry = tracemalloc.get_traced_memory()[0]
+            sol = eigen._rayleigh_ritz_sweeps(a_csr, b_csr, starts.pop(), k, DEFAULT_TOL,
+                                              a_inv, eigen.MAX_SWEEPS)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert (sol.residual_norms <= DEFAULT_TOL).all()
+        return peak / (a_csr.shape[0] * k * 8)
+
+    def test_first_sweep_from_the_start_block(self, get_pencil):
+        # 4.0 blocks: the Ritz block and the candidates with their images
+        # under A and B, plus a norm's temporary, less the freed start block.
+        # With every block kept until its name was rebound: 7.0.
+        pencil, k = get_pencil("slit", 64, CR), 8
+        factor, a_csr, b_csr = factorize_spd(pencil.a), pencil.a.to_csr(), pencil.b.to_csr()
+
+        def forbidden(rhs):
+            raise AssertionError("a second sweep ran")
+
+        blocks = self.peak_blocks(
+            a_csr, b_csr, lambda: eigen._start_block(factor, b_csr, k, np.random.default_rng(1)),
+            k, forbidden)
+        assert blocks <= 4.1
+
+    def test_refined_sweeps_from_a_random_block(self, get_pencil):
+        # 47 sweeps.  The peak is in the refined solve: B u, its solve, A
+        # times that solve and a C-ordered copy of it, four (k + 3)-column
+        # blocks or 4.16 blocks above the start block.  With every block
+        # kept until its name was rebound: 11.3.
+        pencil, k, calls = get_pencil("slit", 64, CR), 8, []
+        factor, a_csr, b_csr = factorize_spd(pencil.a), pencil.a.to_csr(), pencil.b.to_csr()
+        rng, refined = np.random.default_rng(3), eigen._refined_inverse(factor, a_csr)
+
+        def a_inv(rhs):
+            calls.append(1)
+            return refined(rhs)
+
+        blocks = self.peak_blocks(a_csr, b_csr,
+                                  lambda: rng.standard_normal((pencil.dimension, k + 3)), k, a_inv)
+        assert len(calls) >= 3
+        assert blocks <= 4.3
