@@ -342,6 +342,11 @@ def _solve_reference(mesh: Mesh, coeff: CoefficientField, k: int, tol: float,
     return dofmap, _multigrid_eigenpairs(a_csr, b_csr, prolongations, start, k, tol)
 
 
+def _check_eig_index(eig_index: int) -> None:
+    if eig_index < 1:
+        raise ValueError(f"eig_index must be at least 1, got {eig_index}")
+
+
 def compute_reference(domain: DomainSpec, level: int, eig_index: int = 2,
                       coeff: CoefficientField = UNIT_COEFFICIENTS,
                       tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> ReferenceSolution:
@@ -352,6 +357,7 @@ def compute_reference(domain: DomainSpec, level: int, eig_index: int = 2,
     that its largest-magnitude boundary dof value is positive, making the
     reference deterministic.
     """
+    _check_eig_index(eig_index)
     mesh = generate_mesh(domain, level)
     dofmap, sol = _solve_reference(mesh, coeff, eig_index, tol, seed)
     values = sol.eigenvectors[:, eig_index - 1].copy()
@@ -466,9 +472,20 @@ def run_convergence_study(domain: DomainSpec, family: str, levels: Sequence[int]
         index must match; it must have been computed with the same
         coefficients).
     """
-    if eig_index < 1:
-        raise ValueError(f"eig_index must be at least 1, got {eig_index}")
+    _check_eig_index(eig_index)
     levels = _validate_levels(levels, reference.level)
+    # Settings that cannot give a reference eigenvalue fail before any solve.
+    mode = reference.resolve_mode(domain, eig_index)
+    if mode == "bracket":
+        try:
+            lo, hi = REFERENCE_INTERVALS[(domain.kind, eig_index)]
+        except KeyError:
+            raise ValueError(
+                f"no reference enclosure for ({domain.kind}, eigenvalue {eig_index}); "
+                "use richardson") from None
+        reference_lambda = 0.5 * (lo + hi)
+    elif len(levels) < 3:
+        raise ValueError("richardson extrapolation needs at least three study levels")
     warnings: list[str] = []
 
     if reference_solution is None:
@@ -505,19 +522,8 @@ def run_convergence_study(domain: DomainSpec, family: str, levels: Sequence[int]
         u_errors.append(boundary_l2_error(u_h, trace))
         lambda_hs.append(target)
 
-    mode = reference.resolve_mode(domain, eig_index)
-    if mode == "bracket":
-        try:
-            lo, hi = REFERENCE_INTERVALS[(domain.kind, eig_index)]
-        except KeyError:
-            raise ValueError(
-                f"no reference enclosure for ({domain.kind}, eigenvalue {eig_index}); "
-                "use richardson") from None
-        reference_lambda = 0.5 * (lo + hi)
-    else:
+    if mode == "richardson":
         fit_levels = levels[-3:]
-        if len(fit_levels) < 3:
-            raise ValueError("richardson extrapolation needs at least three study levels")
         for lvl in fit_levels:
             if lvl not in conforming_lambdas:
                 conforming_lambdas[lvl] = _solve_level(

@@ -3,7 +3,8 @@
 Every mesh lives on the grid of step ``1/level``; each grid square is split
 along its lower-left to upper-right diagonal into two triangles, so the mesh
 at level ``r*n`` is an exact refinement of the mesh at level ``n``.  The mesh
-size is ``h = sqrt(2)/level`` (the diagonal length).
+size is ``h = sqrt(2)/level`` (the diagonal length).  The boundary walk is
+read off the grid as a table of straight runs of grid squares.
 
 The slit domain is the unit square cut along the open segment
 ``{(x1, 1/2) : 1/2 < x1 <= 1}``.  Vertices on the slit are stored twice, one
@@ -124,8 +125,9 @@ class Mesh:
     boundary_edges : ndarray, shape (n_boundary_edges, 2)
         Rows ``(triangle, local_edge)`` in the order of one closed walk from
         ``(0, 0)`` with the domain on the left, along both sides of the slit.
-        The walk follows the grid: at level ``r * n``, edge ``j`` lies in edge
-        ``j // r`` of the level-``n`` walk, running the same way.
+        The walk is a table of straight runs of grid squares, and a run at
+        level ``r * n`` is the level-``n`` run with each square split in
+        ``r``, so edge ``j`` lies in edge ``j // r`` of the level-``n`` walk.
     vertex_slit_side : ndarray, shape (n_vertices,)
         ``-1`` for a vertex on the lower slit side, ``+1`` for the upper
         copy, ``0`` elsewhere (always 0 away from the slit domain).
@@ -242,7 +244,7 @@ def generate_mesh(domain: DomainSpec, level: int) -> Mesh:
     square_to_tri = np.full((n, n, 2), -1, dtype=np.int64)
     square_to_tri[sq_i, sq_j] = np.arange(2 * n_squares).reshape(-1, 2)
 
-    boundary_edges = _ordered_boundary(domain, triangles, square_to_tri)
+    boundary_edges = _ordered_boundary(domain, square_to_tri)
 
     return Mesh(
         domain=domain,
@@ -255,51 +257,26 @@ def generate_mesh(domain: DomainSpec, level: int) -> Mesh:
     )
 
 
-def _ordered_boundary(domain: DomainSpec, triangles: np.ndarray,
-                      square_to_tri: np.ndarray) -> np.ndarray:
-    """Find boundary edges and chain them CCW starting from vertex 0 at (0, 0).
+def _ordered_boundary(domain: DomainSpec, square_to_tri: np.ndarray) -> np.ndarray:
+    """The boundary walk as straight runs of grid squares, CCW from ``(0, 0)``.
 
-    A lower triangle's right and bottom edges and an upper triangle's top
-    and left edges lie on the boundary when no grid square sits behind
-    them; the diagonals never do.  The slit adds the bottom edges of the
-    squares just above it and the top edges of those just below.
+    A lower triangle contributes its bottom (local edge 2) and right (0)
+    edge, an upper triangle its top (0) and left (1) edge.  Each run is
+    ``(triangles, local edge)``; the slit is walked along its lower side
+    toward the tip, then along its upper side back out.
     """
-    n = square_to_tri.shape[0]
+    half = square_to_tri.shape[0] // 2
     lower, upper = square_to_tri[..., 0], square_to_tri[..., 1]
-    present = np.pad(lower >= 0, 1)  # square (i, j) at [i + 1, j + 1]
-    inside = present[1:-1, 1:-1]
-    open_right, open_left = ~present[2:, 1:-1], ~present[:-2, 1:-1]
-    open_top, open_bottom = ~present[1:-1, 2:], ~present[1:-1, :-2]
-    if domain.kind == "slit":
-        half = n // 2
-        open_bottom[half:, half] = True
-        open_top[half:, half - 1] = True
-    # Flat edge ids 3 * triangle + local edge; local edge i is opposite vertex i.
-    flat = np.concatenate([3 * lower[inside & open_right],
-                           3 * lower[inside & open_bottom] + 2,
-                           3 * upper[inside & open_top],
-                           3 * upper[inside & open_left] + 1])
-
-    tri_idx, local_idx = np.divmod(flat, 3)
-    starts = triangles[tri_idx, EDGE_STARTS[local_idx]]
-    stops = triangles[tri_idx, EDGE_ENDS[local_idx]]
-
-    next_edge: dict[int, int] = {}
-    for pos, a in enumerate(starts):
-        if int(a) in next_edge:
-            raise RuntimeError("boundary is not a simple closed curve")
-        next_edge[int(a)] = pos
-
-    chain = []
-    cursor = 0
-    for _ in range(len(flat)):
-        pos = next_edge[cursor]
-        chain.append(pos)
-        cursor = int(stops[pos])
-    if cursor != 0 or len(chain) != len(flat):
-        raise RuntimeError("boundary traversal did not close up")
-
-    return np.column_stack([tri_idx[chain], local_idx[chain]])
+    bottom, left = (lower[:, 0], 2), (upper[0, ::-1], 1)
+    if domain.kind == "square":
+        runs = [bottom, (lower[-1, :], 0), (upper[::-1, -1], 0), left]
+    elif domain.kind == "lshape":
+        runs = [bottom, (lower[-1, :half], 0), (upper[:half - 1:-1, half - 1], 0),
+                (lower[half - 1, half:], 0), (upper[half - 1::-1, -1], 0), left]
+    else:
+        runs = [bottom, (lower[-1, :half], 0), (upper[:half - 1:-1, half - 1], 0),
+                (lower[half:, half], 2), (lower[-1, half:], 0), (upper[::-1, -1], 0), left]
+    return np.concatenate([np.column_stack([t, np.full_like(t, e)]) for t, e in runs])
 
 
 @dataclass

@@ -45,6 +45,10 @@ def cr_interpolant(mesh, f):
     return FeFunction(mesh=mesh, dofmap=dm, values=interpolate_cr(mesh, dm, f))
 
 
+def no_solve(*args, **kwargs):
+    raise AssertionError("no solve may run before the inputs are checked")
+
+
 def random_fe(mesh, family, seed):
     dm = build_dof_map(mesh, family)
     rng = np.random.default_rng(seed)
@@ -451,6 +455,15 @@ class TestComputeReference:
         assert bvals[np.argmax(np.abs(bvals))] > 0.0
         assert ref.level == 16 and ref.eig_index == 2
 
+    @pytest.mark.parametrize("level", (64, 10))
+    @pytest.mark.parametrize("eig_index", (0, -1))
+    def test_eig_index_checked_before_any_solve(self, monkeypatch, level, eig_index):
+        import steklovfem.analysis as analysis
+
+        monkeypatch.setattr(analysis, "_solve_level", no_solve)
+        with pytest.raises(ValueError, match=f"eig_index must be at least 1, got {eig_index}"):
+            compute_reference(DomainSpec("lshape"), level, eig_index)
+
     def test_richardson_fit_recovers_exact_model(self):
         levels = [8, 16, 32]
         h = [math.sqrt(2.0) / n for n in levels]
@@ -532,6 +545,21 @@ class TestRunConvergenceStudy:
         with pytest.raises(ValueError, match="eig_index"):
             run_convergence_study(DomainSpec("square"), P1, [8], eig_index=0,
                                   reference=ReferenceSpec(level=16))
+
+    @pytest.mark.parametrize("domain,levels,mode,match", [
+        ("square", [8, 16, 32, 64, 128], "bracket", "no reference enclosure"),
+        ("lshape", [64, 128], "richardson", "three study levels"),
+        ("square", [128], "auto", "three study levels"),
+    ], ids=("bracket-not-tabulated", "richardson-two-levels", "auto-one-level"))
+    def test_unusable_reference_fails_before_any_solve(self, monkeypatch, domain, levels,
+                                                       mode, match):
+        import steklovfem.analysis as analysis
+
+        monkeypatch.setattr(analysis, "compute_reference", no_solve)
+        monkeypatch.setattr(analysis, "_solve_level", no_solve)
+        with pytest.raises(ValueError, match=match):
+            run_convergence_study(DomainSpec(domain), P1, levels,
+                                  reference=ReferenceSpec(mode=mode, level=512))
 
     def test_richardson_needs_three_levels(self):
         with pytest.raises(ValueError, match="three study levels"):

@@ -20,6 +20,46 @@ KINDS = ("square", "lshape", "slit")
 SQRT2 = math.sqrt(2.0)
 
 
+def dictionary_chain_boundary(domain, triangles, square_to_tri):
+    """Oracle: boundary edges found by an edge search, chained by a dictionary from vertex 0."""
+    n = square_to_tri.shape[0]
+    lower, upper = square_to_tri[..., 0], square_to_tri[..., 1]
+    present = np.pad(lower >= 0, 1)  # square (i, j) at [i + 1, j + 1]
+    inside = present[1:-1, 1:-1]
+    open_right, open_left = ~present[2:, 1:-1], ~present[:-2, 1:-1]
+    open_top, open_bottom = ~present[1:-1, 2:], ~present[1:-1, :-2]
+    if domain.kind == "slit":
+        half = n // 2
+        open_bottom[half:, half] = True
+        open_top[half:, half - 1] = True
+    # Flat edge ids 3 * triangle + local edge; local edge i is opposite vertex i.
+    flat = np.concatenate([3 * lower[inside & open_right],
+                           3 * lower[inside & open_bottom] + 2,
+                           3 * upper[inside & open_top],
+                           3 * upper[inside & open_left] + 1])
+
+    tri_idx, local_idx = np.divmod(flat, 3)
+    starts = triangles[tri_idx, EDGE_STARTS[local_idx]]
+    stops = triangles[tri_idx, EDGE_ENDS[local_idx]]
+
+    next_edge: dict[int, int] = {}
+    for pos, a in enumerate(starts):
+        if int(a) in next_edge:
+            raise RuntimeError("boundary is not a simple closed curve")
+        next_edge[int(a)] = pos
+
+    chain = []
+    cursor = 0
+    for _ in range(len(flat)):
+        pos = next_edge[cursor]
+        chain.append(pos)
+        cursor = int(stops[pos])
+    if cursor != 0 or len(chain) != len(flat):
+        raise RuntimeError("boundary traversal did not close up")
+
+    return np.column_stack([tri_idx[chain], local_idx[chain]])
+
+
 def signed_areas(mesh):
     c = mesh.vertices[mesh.triangles]
     d1 = c[:, 1] - c[:, 0]
@@ -143,9 +183,11 @@ class TestGeometryInvariants:
 
 
 class TestBoundaryChain:
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("level", (2, 4, 8))
-    def test_chained_ccw_from_origin(self, get_mesh, kind, level):
+    @pytest.mark.parametrize("level,kind", [
+        *((level, kind) for level in (2, 4, 8, 150) for kind in KINDS),
+        (3, "square"), (7, "square"),
+    ])
+    def test_chained_ccw_from_origin(self, get_mesh, level, kind):
         m = get_mesh(kind, level)
         ends = m.boundary_edge_vertices()
         assert tuple(m.vertices[ends[0, 0]]) == (0.0, 0.0)
@@ -154,9 +196,12 @@ class TestBoundaryChain:
         assert ends[-1, 1] == ends[0, 0]
         assert m.boundary_edges.shape == (m.n_boundary_edges, 2)
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_domain_on_the_left(self, get_mesh, kind):
-        m = get_mesh(kind, 4)
+    @pytest.mark.parametrize("kind,level", [
+        *(pytest.param(kind, 4, id=kind) for kind in KINDS),
+        *(pytest.param(kind, 10, id=f"{kind}-10") for kind in KINDS),
+    ])
+    def test_domain_on_the_left(self, get_mesh, kind, level):
+        m = get_mesh(kind, level)
         ends = m.boundary_edge_vertices()
         tangent = m.vertices[ends[:, 1]] - m.vertices[ends[:, 0]]
         midpoints = 0.5 * (m.vertices[ends[:, 0]] + m.vertices[ends[:, 1]])
@@ -174,6 +219,18 @@ class TestBoundaryChain:
         assert len(cumulative) == m.n_boundary_edges
         assert (np.diff(cumulative) > 0).all()
         assert cumulative[-1] == pytest.approx(total, rel=1e-12)
+
+    @pytest.mark.parametrize("kind,level", [
+        *((kind, level) for kind in KINDS
+          for level in (2, 4, 6, 8, 10, 12, 16, 24, 32, 64, 150, 512)),
+        *(("square", level) for level in (3, 5, 7, 9, 151)),
+    ])
+    def test_matches_dictionary_chain_oracle(self, kind, level):
+        m = generate_mesh(DomainSpec(kind), level)
+        want = dictionary_chain_boundary(m.domain, m.triangles, m.square_to_tri)
+        assert m.boundary_edges.dtype == want.dtype
+        assert m.boundary_edges.shape == want.shape
+        assert m.boundary_edges.tobytes() == want.tobytes()
 
     def test_slit_walked_once_per_side(self, get_mesh):
         m = get_mesh("slit", 4)
