@@ -112,25 +112,62 @@ class EigenSolution:
 class SpdFactor:
     """A sparse Cholesky-type factorization of an SPD matrix.
 
-    Uses SuperLU in symmetric mode with diagonal pivoting only; the
-    factorization doubles as the definiteness certificate, since an SPD
-    matrix factors without row pivoting and with positive pivots.
+    Uses SuperLU in symmetric mode with diagonal pivoting only.  Definiteness
+    is certified before factoring when the matrix is strictly diagonally
+    dominant with a positive diagonal (:func:`_diagonally_dominant`), as the
+    assembled stiffness matrices are: over the three domains, both families
+    and levels 2 to 512, with unit or affine coefficients, the smallest
+    relative margin is 8e-8.  Otherwise the factor's pivots certify it,
+    since an SPD matrix factors without row pivoting and with positive
+    pivots; reading them makes SuperLU build CSC copies of ``L`` and ``U``
+    that live as long as the factor, so the cheap test comes first.
     """
 
     def __init__(self, matrix: SymSparse):
+        csr = matrix.to_csr()
+        dominant = _diagonally_dominant(csr)
         # A symmetric CSR matrix's transpose is its CSC form, sharing the arrays.
         try:
-            lu = spla.splu(matrix.to_csr().T, permc_spec="MMD_AT_PLUS_A",
+            lu = spla.splu(csr.T, permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # exactly singular
             raise NotPositiveDefiniteError(str(exc)) from exc
-        if not (lu.perm_r == lu.perm_c).all() or not (lu.U.diagonal() > 0.0).all():
+        if not (lu.perm_r == lu.perm_c).all() or not (dominant or (lu.U.diagonal() > 0.0).all()):
             raise NotPositiveDefiniteError("matrix is not positive definite")
         self._lu = lu
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``A x = rhs`` for a vector or a block of columns."""
         return self._lu.solve(np.asarray(rhs, dtype=float))
+
+
+def _diagonally_dominant(csr: sp.csr_matrix) -> bool:
+    """Whether a symmetric matrix is SPD by strict diagonal dominance.
+
+    By Gershgorin's theorem every eigenvalue of a symmetric matrix lies in
+    some ``[d_i - off_i, d_i + off_i]``, with ``d_i`` the diagonal entry and
+    ``off_i = sum_{j != i} |a_ij|``, so ``d_i > off_i`` in every row makes it
+    positive definite (Varga, *Gersgorin and His Circles*, Springer 2004).
+    The test asks for ``d_i > 0`` and a margin ``d_i - off_i`` above
+    ``2 nnz_i eps (d_i + off_i)``, which bounds the rounding of the row sum
+    over the row's ``nnz_i`` stored entries.  A row without a stored
+    diagonal entry, empty or not, fails it.  O(nnz).
+
+    >>> _diagonally_dominant(sp.csr_matrix([[2.0, -1.0], [-1.0, 2.0]]))
+    True
+    >>> _diagonally_dominant(sp.csr_matrix([[1.0, 2.0], [2.0, 1.0]]))
+    False
+    """
+    n = csr.shape[0]
+    counts = np.diff(csr.indptr)
+    magnitudes = np.abs(csr.data)
+    magnitudes[csr.indices == np.repeat(np.arange(n, dtype=csr.indices.dtype), counts)] = 0.0
+    # The product sums each row's magnitudes in storage order; unlike
+    # np.add.reduceat, it reads an empty row as 0.
+    off = sp.csr_matrix((magnitudes, csr.indices, csr.indptr), shape=csr.shape) @ np.ones(n)
+    diag = csr.diagonal()
+    guard = 2.0 * np.finfo(float).eps * counts * (diag + off)
+    return bool((diag > 0.0).all() and (diag - off > guard).all())
 
 
 def factorize_spd(matrix: SymSparse) -> SpdFactor:

@@ -108,6 +108,85 @@ class TestSolveSpd:
             factorize_spd(SymSparse.from_entries(2, [0], [0], [1.0]))
 
 
+class RecordingLU:
+    """Passes a SuperLU factor through, recording reads of any attribute
+    beyond ``solve``, ``perm_r``, ``perm_c`` and ``nnz`` (such as ``L`` or ``U``)."""
+
+    def __init__(self, lu, reads):
+        self.solve, self.perm_r, self.perm_c, self.nnz = lu.solve, lu.perm_r, lu.perm_c, lu.nnz
+        self._lu, self._reads = lu, reads
+
+    def __getattr__(self, name):
+        self._reads.append(name)
+        return getattr(self._lu, name)
+
+
+@pytest.fixture
+def lu_reads(monkeypatch):
+    """The attributes read off the factors built while the test runs, one list per factor."""
+    splu, reads = spla.splu, []
+
+    def recorded(*args, **kwargs):
+        reads.append([])
+        return RecordingLU(splu(*args, **kwargs), reads[-1])
+
+    monkeypatch.setattr(eigen.spla, "splu", recorded)
+    return reads
+
+
+class TestDefinitenessCertificate:
+    """Assembled stiffness matrices are certified SPD without the factor's L/U copies."""
+
+    @pytest.mark.parametrize("coeff_id", COEFFICIENTS)
+    @pytest.mark.parametrize("family", (P1, CR))
+    @pytest.mark.parametrize("kind", ("square", "lshape", "slit"))
+    def test_solve_pencil_reads_no_triangular_factor(self, get_mesh, get_dofmap, lu_reads,
+                                                     kind, family, coeff_id):
+        mesh, dm = get_mesh(kind, 16), get_dofmap(kind, 16, family)
+        solve_pencil(Pencil(assemble_stiffness(mesh, dm, COEFFICIENTS[coeff_id]),
+                            assemble_boundary_mass(mesh, dm)), 3)
+        assert lu_reads == [[]]
+
+    def test_reference_reads_no_triangular_factor(self, lu_reads):
+        # Factors of the coarse solve and of the V-cycle's coarsest level.
+        compute_reference(DomainSpec("lshape"), 32)
+        assert len(lu_reads) >= 2 and not any(lu_reads)
+
+    def test_positive_definite_without_dominance(self, lu_reads):
+        a = np.full((3, 3), 0.9) + 0.1 * np.eye(3)
+        rhs = np.array([1.0, 2.0, 3.0])
+        x = factorize_spd(dense_spd_sparse(a)).solve(rhs)
+        assert lu_reads == [["U"]]
+        assert np.linalg.norm(a @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_indefinite_with_positive_diagonal(self, lu_reads):
+        with pytest.raises(NotPositiveDefiniteError):
+            factorize_spd(dense_spd_sparse(np.array([[1.0, 2.0], [2.0, 1.0]])))
+        assert lu_reads == [["U"]]
+
+    @pytest.mark.parametrize("coupling, definite", ((np.nextafter(1.0, 0.0), True),
+                                                    (np.nextafter(1.0, 2.0), False)))
+    def test_margin_below_rounding_guard(self, lu_reads, coupling, definite):
+        # Margins of +eps/2 and -eps: the certificate cannot decide, the pivots do.
+        a = SymSparse.from_entries(2, [0, 1, 0], [0, 1, 1], [1.0, 1.0, -coupling])
+        assert not eigen._diagonally_dominant(a.to_csr())
+        if definite:
+            factorize_spd(a)
+        else:
+            with pytest.raises(NotPositiveDefiniteError):
+                factorize_spd(a)
+        assert lu_reads == [["U"]]
+
+    @pytest.mark.parametrize("missing", (1, 2))
+    def test_empty_row(self, missing):
+        # np.add.reduceat would misread an empty row, and fail on a trailing one.
+        kept = [i for i in range(3) if i != missing]
+        a = SymSparse.from_entries(3, kept, kept, [1.0, 1.0])
+        assert not eigen._diagonally_dominant(a.to_csr())
+        with pytest.raises(NotPositiveDefiniteError):
+            factorize_spd(a)
+
+
 class TestSolvePencilSmall:
     def test_two_by_two_example(self):
         pencil = Pencil(diag_sparse([2.0, 3.0]),
