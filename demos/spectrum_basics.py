@@ -11,10 +11,9 @@ every eigenvalue.
 
 import numpy as np
 
-from steklovfem import (CR, DomainSpec, P1, Pencil, assemble_boundary_mass,
-                        assemble_stiffness, build_dof_map,
-                        constant_coefficients, dense_oracle, generate_mesh,
-                        solve_pencil)
+from steklovfem import (CR, CoefficientField, DomainSpec, P1, Pencil, affine,
+                        assemble_boundary_mass, assemble_stiffness, build_dof_map,
+                        dense_oracle, generate_mesh, solve_pencil)
 
 
 def pencil(mesh, family, coeff=None):
@@ -42,8 +41,8 @@ print(f"\nlevel 4 sparse vs dense oracle: max |gap| = {gap.max():.2e}")
 
 # Coefficient effects.
 base = solve_pencil(pencil(mesh, P1), 3).eigenvalues
-doubled = solve_pencil(pencil(mesh, P1, constant_coefficients(2.0, 2.0)), 3).eigenvalues
-shifted = solve_pencil(pencil(mesh, P1, constant_coefficients(1.0, 4.0)), 3).eigenvalues
+doubled = solve_pencil(pencil(mesh, P1, CoefficientField(affine(2.0), affine(2.0))), 3).eigenvalues
+shifted = solve_pencil(pencil(mesh, P1, CoefficientField(affine(1.0), affine(4.0))), 3).eigenvalues
 print("\ncoefficient effects on lambda_1..3:")
 print("  alpha = beta = 1:", "  ".join(f"{v:.6f}" for v in base))
 print("  alpha = beta = 2:", "  ".join(f"{v:.6f}" for v in doubled),

@@ -18,8 +18,7 @@ from .mesh import (DomainSpec, InvalidLevelError, Mesh, NestingError,
                    refine, write_mesh)
 from .fem import (CR, CoefficientField, DofMap, InvalidCoefficientError, P1,
                   SymSparse, UNIT_COEFFICIENTS, affine, assemble_boundary_mass,
-                  assemble_stiffness, build_dof_map, constant_coefficients,
-                  write_matrix)
+                  assemble_stiffness, build_dof_map, write_matrix)
 from .eigen import (ConvergenceFailureError, EigenSolution,
                     NotPositiveDefiniteError, Pencil, SpdFactor, dense_oracle,
                     factorize_spd, solve_pencil)

@@ -20,6 +20,10 @@ started from prolonged coarse eigenvectors, finds the dominant subspace;
 the same Rayleigh-Ritz sweeps then enforce the tolerance, applying
 ``A^{-1}`` by V-cycle-preconditioned conjugate gradients in place of the
 factor.
+
+Both paths share one stopping rule: at most ``MAX_SWEEPS`` sweeps, twice
+what converging runs take, then :class:`ConvergenceFailureError`, which a
+Lanczos run that stops short raises as well.
 """
 
 from __future__ import annotations
@@ -51,12 +55,11 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 DEFAULT_SEED = 1729
-MAX_SWEEPS = 500
+MAX_SWEEPS = 4
 # Multigrid reference solves (see _multigrid_eigenpairs).
 JACOBI_DAMPING = 0.8
 LOBPCG_MAXITER = 20
 PCG_RTOL = 1e-13
-MULTIGRID_MAX_SWEEPS = 4
 DENSE_ORACLE_MAX_DIM = 3000
 
 
@@ -65,9 +68,10 @@ class NotPositiveDefiniteError(Exception):
 
 
 class ConvergenceFailureError(Exception):
-    """Raised when the iterative solver exhausts its sweep budget.
+    """Raised when Lanczos stops short or the sweeps exhaust ``MAX_SWEEPS``.
 
-    Carries the best eigenvalue estimates and their residuals.
+    Carries ``k`` eigenvalue estimates and their residuals: the sweeps' last
+    ones, or the Ritz values Lanczos converged, then NaN, with ``inf`` residuals.
     """
 
     def __init__(self, message: str, eigenvalues: np.ndarray, residuals: np.ndarray):
@@ -215,10 +219,8 @@ def _start_block(factor: SpdFactor, b_csr: sp.csr_matrix, k: int,
     spread and lose digits.
 
     The start vector and any restart vector come from ``rng``, so the block
-    is deterministic.  If Lanczos stops short, the vectors it did converge
-    are kept and filled up with Gaussian columns to ``k + 3``: the sweeps
-    are then plain subspace iteration, and the three guard columns keep it
-    converging when ``lambda_k`` and ``lambda_{k+1}`` are close.
+    is deterministic.  If Lanczos stops short, ``ConvergenceFailureError``
+    carries the Ritz values it did converge.
     """
     n = b_csr.shape[0]
     bd = np.flatnonzero(np.diff(b_csr.indptr))
@@ -245,8 +247,11 @@ def _start_block(factor: SpdFactor, b_csr: sp.csr_matrix, k: int,
                            OPinv=spla.LinearOperator((nb, nb), matvec=schur_inv, dtype=float),
                            v0=rng.standard_normal(nb), rng=rng)[1]
     except spla.ArpackNoConvergence as exc:
-        found = exc.eigenvectors
-        block = np.hstack([found, rng.standard_normal((nb, k + 3 - found.shape[1]))])
+        eigenvalues = np.full(k, np.nan)
+        eigenvalues[:exc.eigenvalues.size] = exc.eigenvalues
+        raise ConvergenceFailureError(
+            f"shift-invert Lanczos (ARPACK) stopped with {exc.eigenvalues.size} of {k} "
+            f"eigenpairs converged", eigenvalues, np.full(k, np.inf)) from exc
     return factor.solve(b_cols @ block)
 
 
@@ -268,7 +273,8 @@ def solve_pencil(pencil: Pencil, k: int, tol: float = DEFAULT_TOL,
     NotPositiveDefiniteError
         If ``A`` fails to factor as SPD.
     ConvergenceFailureError
-        If the residuals do not reach ``tol`` within ``MAX_SWEEPS`` sweeps.
+        If Lanczos stops short, or the residuals do not reach ``tol`` within
+        ``MAX_SWEEPS`` sweeps.
     """
     n = pencil.dimension
     if not 1 <= k <= n:
@@ -282,7 +288,7 @@ def solve_pencil(pencil: Pencil, k: int, tol: float = DEFAULT_TOL,
     # Passed without a name, so the sweeps can drop the start block after its last use.
     return _rayleigh_ritz_sweeps(a_csr, b_csr,
                                  _start_block(factor, b_csr, k, np.random.default_rng(seed)),
-                                 k, tol, _refined_inverse(factor, a_csr), MAX_SWEEPS)
+                                 k, tol, _refined_inverse(factor, a_csr))
 
 
 def _refined_inverse(factor: SpdFactor,
@@ -304,14 +310,14 @@ def _refined_inverse(factor: SpdFactor,
 
 
 def _rayleigh_ritz_sweeps(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix, z: np.ndarray, k: int,
-                          tol: float, a_inv: Callable[[np.ndarray], np.ndarray],
-                          max_sweeps: int) -> EigenSolution:
+                          tol: float, a_inv: Callable[[np.ndarray], np.ndarray]) -> EigenSolution:
     """Rayleigh-Ritz on ``span(z)``, then inverse subspace iteration until converged.
 
     Each sweep after the first replaces the block by ``a_inv(B u)``, where
     ``a_inv`` applies ``A^{-1}`` to a block of columns and may overwrite its
     argument, and projects again; the loop returns as soon as every
-    requested pair reaches the relative residual tolerance.
+    requested pair reaches the relative residual tolerance, and raises
+    ``ConvergenceFailureError`` after ``MAX_SWEEPS`` sweeps.
 
     Every ``n``-row block is dropped after its last use.  Besides its Ritz
     block a sweep holds at most four ``n x k`` blocks: the candidate
@@ -323,7 +329,7 @@ def _rayleigh_ritz_sweeps(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix, z: np.ndar
     eigenvalues = np.full(k, np.nan)
     residuals = np.full(k, np.inf)
 
-    for sweep in range(max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         if sweep:
             bx = b_csr @ x
             del x
@@ -361,7 +367,7 @@ def _rayleigh_ritz_sweeps(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix, z: np.ndar
         del cand, au, bu
 
     raise ConvergenceFailureError(
-        f"subspace iteration did not reach tol={tol:g} in {max_sweeps} sweeps "
+        f"subspace iteration did not reach tol={tol:g} in {MAX_SWEEPS} sweeps "
         f"(worst residual {residuals.max():g})", eigenvalues, residuals)
 
 
@@ -426,8 +432,7 @@ def _multigrid_eigenpairs(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix,
     Raises
     ------
     ConvergenceFailureError
-        If the residuals do not reach ``tol`` within
-        ``MULTIGRID_MAX_SWEEPS`` sweeps.
+        If the residuals do not reach ``tol`` within ``MAX_SWEEPS`` sweeps.
     """
     vcycle = _VCycle(a_csr, prolongations)
     a_norms = np.sqrt(np.einsum("ij,ij->j", start, a_csr @ start))
@@ -444,7 +449,7 @@ def _multigrid_eigenpairs(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix,
         return np.column_stack([spla.cg(a_csr, col, rtol=PCG_RTOL, M=precond)[0]
                                 for col in rhs.T])
 
-    return _rayleigh_ritz_sweeps(a_csr, b_csr, x, k, tol, a_inv, MULTIGRID_MAX_SWEEPS)
+    return _rayleigh_ritz_sweeps(a_csr, b_csr, x, k, tol, a_inv)
 
 
 def dense_oracle(pencil: Pencil, k: int) -> EigenSolution:

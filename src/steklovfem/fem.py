@@ -41,7 +41,6 @@ __all__ = [
     "SymSparse",
     "InvalidCoefficientError",
     "build_dof_map",
-    "constant_coefficients",
     "affine",
     "assemble_stiffness",
     "assemble_boundary_mass",
@@ -198,21 +197,12 @@ class CoefficientField:
     beta: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def constant_coefficients(alpha: float = 1.0, beta: float = 1.0) -> CoefficientField:
-    """Coefficient field with constant values."""
-    a, b = float(alpha), float(beta)
-    return CoefficientField(
-        alpha=lambda x, y: np.full_like(np.asarray(x, dtype=float), a),
-        beta=lambda x, y: np.full_like(np.asarray(x, dtype=float), b),
-    )
-
-
 def affine(c0: float, cx: float = 0.0, cy: float = 0.0) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The affine function ``c0 + cx*x1 + cy*x2`` as a coefficient callable."""
     return lambda x, y: c0 + cx * np.asarray(x, dtype=float) + cy * np.asarray(y, dtype=float)
 
 
-UNIT_COEFFICIENTS = constant_coefficients()
+UNIT_COEFFICIENTS = CoefficientField(alpha=affine(1.0), beta=affine(1.0))
 
 
 @dataclass

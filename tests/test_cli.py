@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from steklovfem import (
     CR,
@@ -188,6 +189,16 @@ class TestSolveCommand:
         assert code == 2
         assert "numerical failure" in err
 
+    def test_lanczos_no_convergence_is_numerical_failure(self, monkeypatch, capsys):
+        def stalled(*args, **kwargs):
+            raise spla.ArpackNoConvergence("stalled", np.zeros(0), np.zeros((32, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", stalled)
+        code, out, err = run_cli("solve", "--domain", "lshape", "--level", "8",
+                                 "--element", "p1", "--k", "2", capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("steklovfem: numerical failure: ") and "Lanczos" in err
+
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
         target = tmp_path / "missing" / "solve.txt"
         code, out, err = run_cli("solve", "--domain", "square", "--level", "2",
@@ -198,7 +209,7 @@ class TestSolveCommand:
         assert str(target) in err
 
     def test_lshape_cr_level_512_converges(self, capsys):
-        # Exited 2 after MAX_SWEEPS sweeps while the sweeps' solves were unrefined.
+        # Exited 2 after 500 sweeps while the sweeps' solves were unrefined.
         code, out, _ = run_cli("solve", "--domain", "lshape", "--level", "512",
                                "--element", "cr", "--k", "3", capsys=capsys)
         assert code == 0

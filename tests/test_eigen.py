@@ -23,7 +23,6 @@ from steklovfem import (
     assemble_stiffness,
     build_dof_map,
     compute_reference,
-    constant_coefficients,
     dense_oracle,
     factorize_spd,
     generate_mesh,
@@ -308,8 +307,9 @@ class TestSolvePencilFem:
         assert 0 < sum(columns) <= 120
 
     @pytest.mark.parametrize("converged", (0, 2))
-    def test_lanczos_no_convergence_falls_back_to_sweeps(self, get_pencil, monkeypatch,
-                                                         converged):
+    def test_lanczos_no_convergence_raises(self, get_pencil, monkeypatch, converged):
+        # No retry and no sweeps: the error carries the Ritz values Lanczos
+        # did converge, then NaN, and infinite residuals.
         pencil = get_pencil("lshape", 8, P1)
         eigsh, calls = spla.eigsh, []
 
@@ -318,11 +318,52 @@ class TestSolvePencilFem:
             mu, x = eigsh(*args, **kwargs)
             raise spla.ArpackNoConvergence("stalled", mu[:converged], x[:, :converged])
 
+        def forbidden(*args):
+            raise AssertionError("the sweeps ran")
+
         monkeypatch.setattr(spla, "eigsh", stalled)
-        sol = solve_pencil(pencil, 4)
+        monkeypatch.setattr(eigen, "_rayleigh_ritz_sweeps", forbidden)
+        with pytest.raises(ConvergenceFailureError,
+                           match=f"Lanczos.* {converged} of 4") as excinfo:
+            solve_pencil(pencil, 4)
         assert calls == [1]
-        assert sol.eigenvalues == pytest.approx(dense_oracle(pencil, 4).eigenvalues, rel=1e-9)
-        assert (sol.residual_norms <= DEFAULT_TOL).all()
+        assert isinstance(excinfo.value.__cause__, spla.ArpackNoConvergence)
+        lam = excinfo.value.eigenvalues
+        assert lam.shape == (4,)
+        assert lam[:converged] == pytest.approx(dense_oracle(pencil, 4).eigenvalues[:converged],
+                                                rel=1e-9)
+        assert np.isnan(lam[converged:]).all()
+        assert bits(excinfo.value.residuals) == bits(np.full(4, np.inf))
+
+    @pytest.mark.parametrize("path", ("direct", "multigrid"))
+    def test_unreachable_tolerance_runs_the_whole_budget(self, get_mesh, get_pencil,
+                                                         monkeypatch, path):
+        # Every sweep after the first makes one solve of A.
+        sweeps, run = eigen._rayleigh_ritz_sweeps, []
+
+        def counted(a_csr, b_csr, z, k, tol, a_inv):
+            def counted_inverse(rhs):
+                run.append(1)
+                return a_inv(rhs)
+
+            run.append(1)
+            return sweeps(a_csr, b_csr, z, k, tol, counted_inverse)
+
+        pencil = get_pencil("lshape", 16, P1)
+        monkeypatch.setattr(eigen, "_rayleigh_ritz_sweeps", counted)
+        with pytest.raises(ConvergenceFailureError,
+                           match=f"in {eigen.MAX_SWEEPS} sweeps") as excinfo:
+            if path == "direct":
+                solve_pencil(pencil, 2, tol=1e-300)
+            else:
+                p = analysis._prolongation(get_mesh("lshape", 8), get_mesh("lshape", 16))
+                start = p @ solve_pencil(get_pencil("lshape", 8, P1), 3).eigenvectors
+                run.clear()
+                eigen._multigrid_eigenpairs(pencil.a.to_csr(), pencil.b.to_csr(), [p], start,
+                                            2, tol=1e-300)
+        assert len(run) == eigen.MAX_SWEEPS == 4
+        assert np.isfinite(excinfo.value.eigenvalues).all()
+        assert (excinfo.value.residuals > 1e-300).all()
 
     @pytest.mark.parametrize("kind, family", (("lshape", P1), ("slit", CR)))
     def test_lanczos_runs_on_the_boundary_dofs(self, get_pencil, get_dofmap, monkeypatch,
@@ -402,9 +443,9 @@ class TestSolvePencilFem:
         dm = get_dofmap("lshape", 4, P1)
         b = assemble_boundary_mass(mesh, dm)
         lam1 = solve_pencil(Pencil(assemble_stiffness(
-            mesh, dm, constant_coefficients(1.0, 1.0)), b), 3).eigenvalues
+            mesh, dm, CoefficientField(affine(1.0), affine(1.0))), b), 3).eigenvalues
         lam2 = solve_pencil(Pencil(assemble_stiffness(
-            mesh, dm, constant_coefficients(2.0, 2.0)), b), 3).eigenvalues
+            mesh, dm, CoefficientField(affine(2.0), affine(2.0))), b), 3).eigenvalues
         assert lam2 == pytest.approx(2.0 * lam1, rel=1e-9)
 
     @pytest.mark.parametrize("kind", ("square", "lshape", "slit"))
@@ -413,9 +454,9 @@ class TestSolvePencilFem:
         dm = get_dofmap(kind, 4, P1)
         b = assemble_boundary_mass(mesh, dm)
         base = solve_pencil(Pencil(assemble_stiffness(
-            mesh, dm, constant_coefficients(1.0, 1.0)), b), 4).eigenvalues
+            mesh, dm, CoefficientField(affine(1.0), affine(1.0))), b), 4).eigenvalues
         shifted = solve_pencil(Pencil(assemble_stiffness(
-            mesh, dm, constant_coefficients(1.0, 2.0)), b), 4).eigenvalues
+            mesh, dm, CoefficientField(affine(1.0), affine(2.0))), b), 4).eigenvalues
         assert (shifted > base).all()
 
     def test_conforming_eigenvalues_decrease_under_refinement(self, get_pencil):
@@ -433,7 +474,8 @@ class TestSolvePencilFem:
         # Built without the get_mesh/get_dofmap caches, which would hold the
         # level-512 arrays for the rest of the test run.  With plain factor solves every
         # sweep repeated the solve error: the worst residual stayed at 3.6e-10
-        # and all MAX_SWEEPS sweeps ran before ConvergenceFailureError.
+        # and all 500 sweeps of the budget then in force ran before
+        # ConvergenceFailureError.  Refined, it takes two sweeps.
         mesh = generate_mesh(DomainSpec("slit"), 512)
         dm = build_dof_map(mesh, CR)
         pencil = Pencil(assemble_stiffness(mesh, dm), assemble_boundary_mass(mesh, dm))
@@ -536,7 +578,7 @@ class TestMultigridReference:
         assert (excinfo.value.residuals > 1e-300).all()
 
 
-def reference_sweeps(a_csr, b_csr, z, k, tol, a_inv, max_sweeps):
+def reference_sweeps(a_csr, b_csr, z, k, tol, a_inv):
     """Oracle: the sweeps with every block kept until its name is rebound.
 
     The residual is formed out of place and the results are copied.
@@ -545,7 +587,7 @@ def reference_sweeps(a_csr, b_csr, z, k, tol, a_inv, max_sweeps):
     residuals = np.full(k, np.inf)
     x = z
 
-    for sweep in range(max_sweeps):
+    for sweep in range(eigen.MAX_SWEEPS):
         if sweep:
             z = a_inv(b_csr @ x)
         az = a_csr @ z
@@ -577,7 +619,7 @@ def reference_sweeps(a_csr, b_csr, z, k, tol, a_inv, max_sweeps):
                                  residual_norms=res.copy())
 
     raise ConvergenceFailureError(
-        f"subspace iteration did not reach tol={tol:g} in {max_sweeps} sweeps "
+        f"subspace iteration did not reach tol={tol:g} in {eigen.MAX_SWEEPS} sweeps "
         f"(worst residual {residuals.max():g})", eigenvalues, residuals)
 
 
@@ -602,13 +644,8 @@ class TestSweepsBitIdentity:
     """Freeing blocks early changes no bit of the eigenpairs."""
 
     @staticmethod
-    def oracle(pencil, k, calls):
-        """``solve_pencil`` with the oracle sweeps and a refined solve that keeps its argument.
-
-        ``calls`` gets one entry per refined solve.
-        """
-        factor = factorize_spd(pencil.a)
-        a_csr, b_csr = pencil.a.to_csr(), pencil.b.to_csr()
+    def oracle_inverse(factor, a_csr, calls):
+        """A refined solve that keeps its argument; ``calls`` gets one entry per solve."""
 
         def a_inv(rhs):
             calls.append(1)
@@ -616,8 +653,15 @@ class TestSweepsBitIdentity:
             x += factor.solve(rhs - a_csr @ x)
             return x
 
+        return a_inv
+
+    def oracle(self, pencil, k, calls):
+        """``solve_pencil`` with the oracle sweeps and :meth:`oracle_inverse`."""
+        factor = factorize_spd(pencil.a)
+        a_csr, b_csr = pencil.a.to_csr(), pencil.b.to_csr()
         z = eigen._start_block(factor, b_csr, k, np.random.default_rng(eigen.DEFAULT_SEED))
-        return reference_sweeps(a_csr, b_csr, z, k, DEFAULT_TOL, a_inv, eigen.MAX_SWEEPS)
+        return reference_sweeps(a_csr, b_csr, z, k, DEFAULT_TOL,
+                                self.oracle_inverse(factor, a_csr, calls))
 
     @pytest.mark.parametrize("kind", ("square", "lshape", "slit"))
     @pytest.mark.parametrize("family, level", ((P1, 32), (CR, 16)))
@@ -653,16 +697,17 @@ class TestSweepsBitIdentity:
         assert bits(got) == bits(want)
 
     def test_many_refined_sweeps_match_oracle(self, get_pencil, monkeypatch):
-        # Lanczos stops short, so the sweeps start from a Gaussian k + 3 block.
-        pencil, calls, eigsh = get_pencil("lshape", 16, P1), [], spla.eigsh
-
-        def stalled(*args, **kwargs):
-            mu, x = eigsh(*args, **kwargs)
-            raise spla.ArpackNoConvergence("stalled", mu[:0], x[:, :0])
-
-        monkeypatch.setattr(spla, "eigsh", stalled)
-        sol = solve_pencil(pencil, 4)
-        assert_same_bits(sol, self.oracle(pencil, 4, calls))
+        # From the harmonic extension of a Gaussian k + 3 boundary block the
+        # sweeps are plain subspace iteration: 35 sweeps, past MAX_SWEEPS.
+        monkeypatch.setattr(eigen, "MAX_SWEEPS", 500)
+        pencil, k, calls = get_pencil("lshape", 16, P1), 4, []
+        factor, a_csr, b_csr = factorize_spd(pencil.a), pencil.a.to_csr(), pencil.b.to_csr()
+        rng, nb = np.random.default_rng(eigen.DEFAULT_SEED), np.count_nonzero(np.diff(b_csr.indptr))
+        start = padded_harmonic(factor, b_csr, rng.standard_normal((nb, k + 3)))
+        sol = eigen._rayleigh_ritz_sweeps(a_csr, b_csr, start.copy(), k, DEFAULT_TOL,
+                                          eigen._refined_inverse(factor, a_csr))
+        assert_same_bits(sol, reference_sweeps(a_csr, b_csr, start, k, DEFAULT_TOL,
+                                               self.oracle_inverse(factor, a_csr, calls)))
         assert len(calls) >= 3
 
     def test_multigrid_reference_matches_oracle(self, monkeypatch):
@@ -699,8 +744,7 @@ class TestSweepsMemory:
             starts = [make_start()]
             tracemalloc.reset_peak()
             entry = tracemalloc.get_traced_memory()[0]
-            sol = eigen._rayleigh_ritz_sweeps(a_csr, b_csr, starts.pop(), k, DEFAULT_TOL,
-                                              a_inv, eigen.MAX_SWEEPS)
+            sol = eigen._rayleigh_ritz_sweeps(a_csr, b_csr, starts.pop(), k, DEFAULT_TOL, a_inv)
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             if started:
@@ -723,11 +767,12 @@ class TestSweepsMemory:
             k, forbidden)
         assert blocks <= 4.1
 
-    def test_refined_sweeps_from_a_random_block(self, get_pencil):
-        # 47 sweeps.  The peak is in the refined solve: B u, its solve, A
-        # times that solve and a C-ordered copy of it, four (k + 3)-column
-        # blocks or 4.16 blocks above the start block.  With every block
-        # kept until its name was rebound: 11.3.
+    def test_refined_sweeps_from_a_random_block(self, get_pencil, monkeypatch):
+        # 47 sweeps, past MAX_SWEEPS.  The peak is in the refined solve: B u,
+        # its solve, A times that solve and a C-ordered copy of it, four
+        # (k + 3)-column blocks or 4.16 blocks above the start block.  With
+        # every block kept until its name was rebound: 11.3.
+        monkeypatch.setattr(eigen, "MAX_SWEEPS", 500)
         pencil, k, calls = get_pencil("slit", 64, CR), 8, []
         factor, a_csr, b_csr = factorize_spd(pencil.a), pencil.a.to_csr(), pencil.b.to_csr()
         rng, refined = np.random.default_rng(3), eigen._refined_inverse(factor, a_csr)

@@ -17,7 +17,6 @@ from steklovfem import (
     assemble_boundary_mass,
     assemble_stiffness,
     build_dof_map,
-    constant_coefficients,
     write_matrix,
 )
 from steklovfem.fem import (
@@ -43,15 +42,15 @@ AFFINE_COEFFICIENTS = CoefficientField(alpha=affine(1.0, 0.5, 0.25), beta=affine
 
 def alpha_part(mesh, dofmap):
     """The pure diffusion matrix with alpha = 1, via linearity in alpha."""
-    a2 = assemble_stiffness(mesh, dofmap, constant_coefficients(2.0, 1.0)).to_dense()
-    a1 = assemble_stiffness(mesh, dofmap, constant_coefficients(1.0, 1.0)).to_dense()
+    a2 = assemble_stiffness(mesh, dofmap, CoefficientField(affine(2.0), affine(1.0))).to_dense()
+    a1 = assemble_stiffness(mesh, dofmap, CoefficientField(affine(1.0), affine(1.0))).to_dense()
     return a2 - a1
 
 
 def beta_part(mesh, dofmap):
     """The pure reaction mass matrix with beta = 1, via linearity in beta."""
-    a2 = assemble_stiffness(mesh, dofmap, constant_coefficients(1.0, 2.0)).to_dense()
-    a1 = assemble_stiffness(mesh, dofmap, constant_coefficients(1.0, 1.0)).to_dense()
+    a2 = assemble_stiffness(mesh, dofmap, CoefficientField(affine(1.0), affine(2.0))).to_dense()
+    a1 = assemble_stiffness(mesh, dofmap, CoefficientField(affine(1.0), affine(1.0))).to_dense()
     return a2 - a1
 
 
@@ -112,9 +111,9 @@ class TestLocalMatrices:
     def test_alpha_scaling_is_exact(self, get_mesh):
         mesh = get_mesh("lshape", 4)
         dm = build_dof_map(mesh, P1)
-        a1 = assemble_stiffness(mesh, dm, constant_coefficients(1.0, 1.0)).to_dense()
-        a3 = assemble_stiffness(mesh, dm, constant_coefficients(3.0, 1.0)).to_dense()
-        a5 = assemble_stiffness(mesh, dm, constant_coefficients(5.0, 1.0)).to_dense()
+        a1 = assemble_stiffness(mesh, dm, CoefficientField(affine(1.0), affine(1.0))).to_dense()
+        a3 = assemble_stiffness(mesh, dm, CoefficientField(affine(3.0), affine(1.0))).to_dense()
+        a5 = assemble_stiffness(mesh, dm, CoefficientField(affine(5.0), affine(1.0))).to_dense()
         assert a5 - a1 == pytest.approx(2.0 * (a3 - a1), rel=1e-15)
 
     def test_p1_boundary_edge_block(self):
@@ -267,7 +266,7 @@ class TestAssemblyInvariants:
         pts = dm.dof_points
         p = 1.0 + 2.0 * pts[:, 0] - pts[:, 1]
         alpha, beta = 2.0, 3.0
-        a = assemble_stiffness(mesh, dm, constant_coefficients(alpha, beta))
+        a = assemble_stiffness(mesh, dm, CoefficientField(affine(alpha), affine(beta)))
         energy = float(p @ (a @ p))
         expected = alpha * 5.0 * mesh.domain.area + beta * p_sq
         assert energy == pytest.approx(expected, rel=1e-12)
@@ -386,7 +385,7 @@ class TestCoefficientValidation:
         mesh = get_mesh("square", 4)
         dm = get_dofmap("square", 4, P1)
         with pytest.raises(InvalidCoefficientError):
-            assemble_stiffness(mesh, dm, constant_coefficients(0.0, 1.0))
+            assemble_stiffness(mesh, dm, CoefficientField(affine(0.0), affine(1.0)))
 
     def test_unit_default(self, get_mesh, get_dofmap):
         mesh = get_mesh("square", 2)
