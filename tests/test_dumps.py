@@ -1,8 +1,8 @@
-"""Golden SHA-256 hashes of the mesh and matrix dumps.
+"""Golden SHA-256 hashes of the mesh, matrix and convergence-study dumps.
 
 The dump formats and their contents are a stable contract: any change to
-the mesh numbering, the assembly or the number formatting shows here as a
-changed hash.
+the mesh numbering, the assembly, the solver's printed digits or the number
+formatting shows here as a changed hash.
 """
 
 import hashlib
@@ -12,6 +12,7 @@ import pytest
 
 from steklovfem import (CR, CoefficientField, DomainSpec, P1, affine, assemble_boundary_mass,
                         assemble_stiffness, build_dof_map, write_matrix, write_mesh)
+from steklovfem.cli import main
 
 MESH_SHA256 = {
     ("square", 2): "3dd8c25e6d519482f1f8647a235248b5b760667528df4e2122d090401368d4f4",
@@ -44,6 +45,14 @@ MATRIX_SHA256 = {
     ("slit", CR, "mass"): "2f6fd6a7c9d59d8144164eaa3d585bdfe42007f71c9cf736d11af5e3e6adbe46",
 }
 
+# `steklovfem study --min-level 8 --max-level 64 --ref-level 128`, CSV format.
+STUDY_SHA256 = {
+    ("lshape", "p1"): "01c5c33c02faa241b0a809281c3187046eedef47364a91a01e51ac2adcd308b1",
+    ("lshape", "cr"): "e81cc73fbd9919a283a2491b3fa048e9bdbfe2416274c787d9a4820fdd5b5fed",
+    ("slit", "p1"): "edd606de5e266f29f2dac0b3d290d7b4dcc2020bc310ee433a90edbcc5605746",
+    ("slit", "cr"): "386c838153c54aaa04723197d9ca4d2ad996daaa52a4fb5cca61d491323c60f6",
+}
+
 AFFINE_COEFFICIENTS = CoefficientField(alpha=affine(1, 0.5, 0.25), beta=affine(2, -0.5, 0.5))
 
 
@@ -64,3 +73,12 @@ def test_matrix_dump(get_mesh, get_dofmap, kind, family, which):
     matrix = (assemble_stiffness(mesh, dofmap, AFFINE_COEFFICIENTS) if which == "stiffness"
               else assemble_boundary_mass(mesh, dofmap))
     assert sha256_of(write_matrix, matrix) == MATRIX_SHA256[kind, family, which]
+
+
+@pytest.mark.parametrize("kind, element", sorted(STUDY_SHA256))
+def test_study_csv(tmp_path, capsys, kind, element):
+    target = tmp_path / "study.csv"
+    assert main(["study", "--domain", kind, "--element", element, "--min-level", "8",
+                 "--max-level", "64", "--ref-level", "128", "--out", str(target)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == STUDY_SHA256[kind, element]

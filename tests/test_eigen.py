@@ -186,6 +186,36 @@ class TestDefinitenessCertificate:
             factorize_spd(a)
 
 
+class TestFactorSettings:
+    """SuperLU factors with panel width 1, which shrinks the workspace of
+    its factorization and changes neither the fill nor, beyond rounding,
+    the solves.  tracemalloc cannot see SuperLU's own allocations, so the
+    arguments are pinned instead of the memory."""
+
+    def test_splu_arguments(self, get_pencil, monkeypatch):
+        splu, calls = spla.splu, []
+
+        def recorded(*args, **kwargs):
+            calls.append(kwargs)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(eigen.spla, "splu", recorded)
+        factorize_spd(get_pencil("slit", 8, CR).a)
+        assert calls == [dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, panel_size=1,
+                              options=dict(SymmetricMode=True))]
+
+    @pytest.mark.parametrize("kind, family", (("slit", CR), ("lshape", P1)))
+    def test_same_fill_and_solves_as_the_default_panel(self, get_pencil, kind, family):
+        a = get_pencil(kind, 32, family).a
+        lean = factorize_spd(a)._lu
+        default = spla.splu(a.to_csr().T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                            options=dict(SymmetricMode=True))
+        assert lean.nnz == default.nnz
+        rhs = np.random.default_rng(5).standard_normal((a.dimension, 4))
+        got, want = lean.solve(rhs), default.solve(rhs)
+        assert (np.linalg.norm(got - want, axis=0) <= 1e-10 * np.linalg.norm(want, axis=0)).all()
+
+
 class TestSolvePencilSmall:
     def test_two_by_two_example(self):
         pencil = Pencil(diag_sparse([2.0, 3.0]),
@@ -726,6 +756,24 @@ class TestSweepsBitIdentity:
         for got, want in zip(runs["lean"], runs["oracle"]):
             assert_same_bits(got, want)
 
+    def test_multigrid_block_wider_than_k_matches_oracle(self, monkeypatch):
+        # At eig_index 4 on the L-shape LOBPCG runs 7 columns, so the
+        # candidates are the first k columns of a wider Ritz block.
+        sweeps, calls = eigen._rayleigh_ritz_sweeps, []
+
+        def recorded(a_csr, b_csr, z, k, tol, a_inv):
+            calls.append(((a_csr, b_csr, z.copy(), k, tol, a_inv),
+                          sweeps(a_csr, b_csr, z, k, tol, a_inv)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(eigen, "_rayleigh_ritz_sweeps", recorded)
+        compute_reference(DomainSpec("lshape"), 64, eig_index=4)
+        # The direct solve at the start level, then the multigrid sweeps.
+        assert len(calls) == 2
+        args, got = calls[-1]
+        assert args[2].shape[1] == 7 and args[3] == 4
+        assert_same_bits(got, reference_sweeps(*args))
+
 
 class TestSweepsMemory:
     """Each ``n``-row block of the sweeps is dropped after its last use.
@@ -753,9 +801,11 @@ class TestSweepsMemory:
         return peak / (a_csr.shape[0] * k * 8)
 
     def test_first_sweep_from_the_start_block(self, get_pencil):
-        # 4.0 blocks: the Ritz block and the candidates with their images
-        # under A and B, plus a norm's temporary, less the freed start block.
-        # With every block kept until its name was rebound: 7.0.
+        # 2.4 blocks: the Ritz block, the candidates and their image under A,
+        # which the squared residual overwrites, less the freed start block;
+        # the rest is boundary-row blocks (B u, the residual there) and the
+        # boundary rows of B.  With the dense B u block and a norm's
+        # temporary: 4.0.  With every block kept until its name was rebound: 7.0.
         pencil, k = get_pencil("slit", 64, CR), 8
         factor, a_csr, b_csr = factorize_spd(pencil.a), pencil.a.to_csr(), pencil.b.to_csr()
 
@@ -765,13 +815,15 @@ class TestSweepsMemory:
         blocks = self.peak_blocks(
             a_csr, b_csr, lambda: eigen._start_block(factor, b_csr, k, np.random.default_rng(1)),
             k, forbidden)
-        assert blocks <= 4.1
+        assert blocks <= 2.5
 
     def test_refined_sweeps_from_a_random_block(self, get_pencil, monkeypatch):
         # 47 sweeps, past MAX_SWEEPS.  The peak is in the refined solve: B u,
         # its solve, A times that solve and a C-ordered copy of it, four
-        # (k + 3)-column blocks or 4.16 blocks above the start block.  With
-        # every block kept until its name was rebound: 11.3.
+        # (k + 3)-column blocks, plus the boundary rows of B: 4.20 blocks
+        # above the start block.  A boundary residual kept alive into the
+        # next sweep would add 0.08.  With every block kept until its name
+        # was rebound: 11.3.
         monkeypatch.setattr(eigen, "MAX_SWEEPS", 500)
         pencil, k, calls = get_pencil("slit", 64, CR), 8, []
         factor, a_csr, b_csr = factorize_spd(pencil.a), pencil.a.to_csr(), pencil.b.to_csr()
