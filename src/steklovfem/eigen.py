@@ -396,16 +396,18 @@ class _VCycle:
     coarse correction, and the coarsest level is solved through
     :func:`factorize_spd`, so the cycle is a symmetric positive definite
     approximation of ``A^{-1}``.  It applies to a vector or a block of
-    columns.
+    columns.  Each level restricts through ``P^T``, a CSC view that shares
+    ``P``'s arrays; its products sum in the same order as a CSR copy's.
+    The Galerkin product is formed with a temporary CSR transpose, which
+    keeps the coarse matrices' bits (the view there changes the rounding).
     """
 
     def __init__(self, a_csr: sp.csr_matrix, prolongations: list[sp.csr_matrix]):
         self.levels = []
         for p in prolongations:
-            restriction = p.T.tocsr()
             weights = (JACOBI_DAMPING / a_csr.diagonal())[:, None]
-            self.levels.append((a_csr, weights, p, restriction))
-            a_csr = (restriction @ a_csr @ p).tocsr()
+            self.levels.append((a_csr, weights, p, p.T))
+            a_csr = (p.T.tocsr() @ a_csr @ p).tocsr()
         upper = sp.triu(a_csr, format="csr")
         upper.eliminate_zeros()
         self.coarse = factorize_spd(SymSparse(a_csr.shape[0], upper))

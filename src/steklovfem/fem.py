@@ -98,6 +98,8 @@ class DofMap:
     undirected edges, numbered lexicographically by sorted vertex pair, with
     values attached to edge midpoints.  ``cell_dofs[t, i]`` is the dof sitting
     opposite local vertex ``i`` of triangle ``t`` (for P1 simply vertex ``i``).
+    A P1 map's ``cell_dofs`` and ``dof_points`` are the mesh's own
+    ``triangles`` and ``vertices`` arrays, not copies, so neither is written to.
 
     Attributes
     ----------
@@ -137,9 +139,9 @@ def build_dof_map(mesh: Mesh, family: str) -> DofMap:
         return DofMap(
             family=P1,
             n_dofs=mesh.n_vertices,
-            cell_dofs=tris.copy(),
+            cell_dofs=tris,
             boundary_dofs=np.unique(mesh.boundary_edge_vertices()),
-            dof_points=mesh.vertices.copy(),
+            dof_points=mesh.vertices,
         )
 
     nv = mesh.n_vertices

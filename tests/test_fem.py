@@ -224,6 +224,15 @@ class TestDofMap:
         assert dm.cell_dofs.dtype == expected.dtype
         assert np.array_equal(dm.cell_dofs, expected)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_p1_map_shares_the_mesh_arrays(self, get_mesh, get_dofmap, kind):
+        mesh = get_mesh(kind, 8)
+        p1, cr = get_dofmap(kind, 8, P1), get_dofmap(kind, 8, CR)
+        assert np.shares_memory(p1.cell_dofs, mesh.triangles)
+        assert np.shares_memory(p1.dof_points, mesh.vertices)
+        assert not np.shares_memory(cr.cell_dofs, mesh.triangles)
+        assert not np.shares_memory(cr.dof_points, mesh.vertices)
+
     def test_p1_slit_duplicates_are_distinct_dofs(self, get_mesh, get_dofmap):
         mesh = get_mesh("slit", 4)
         dm = get_dofmap("slit", 4, P1)
