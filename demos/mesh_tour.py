@@ -9,7 +9,9 @@ duplicated vertices carrying a side flag.
 
 import io
 
-from steklovfem import DomainSpec, generate_mesh, refine, write_mesh
+import numpy as np
+
+from steklovfem import DomainSpec, ancestor_map, generate_mesh, write_mesh
 
 for kind in ("square", "lshape", "slit"):
     mesh = generate_mesh(DomainSpec(kind), 4)
@@ -29,20 +31,21 @@ for kind in ("square", "lshape", "slit"):
               f"{dup - lower} upper copies); the tip (1/2, 1/2) stays single")
     print()
 
-# Uniform refinement halves h and exactly nests the triangles: every coarse
-# triangle is split into four children.  The refinement's parent map is grid
-# arithmetic (`ancestor_map`): triangles 2s and 2s+1 are the lower and upper
-# halves of grid square s, and corner 0 of each is the square's lower-left
-# vertex, so a fine triangle's coarse square follows from that corner's grid
-# index and its orientation from its parity.  The boundary nests the same
+# Doubling the level halves h and exactly nests the triangles: every coarse
+# triangle is split into four children.  The parent map is grid arithmetic
+# (`ancestor_map`): triangles 2s and 2s+1 are the lower and upper halves of
+# grid square s, and corner 0 of each is the square's lower-left vertex, so
+# a fine triangle's coarse square follows from that corner's grid index and
+# its orientation from its parity.  The boundary nests the same
 # way: each coarse boundary edge is a run of consecutive fine ones, which is
 # what lets studies transfer reference traces from any finer level without
 # geometric search.
 mesh = generate_mesh(DomainSpec("lshape"), 4)
-fine = refine(mesh)
-print(f"refining lshape level 4 -> level {fine.fine.level}: "
-      f"{mesh.n_triangles} triangles -> {fine.fine.n_triangles} "
-      f"(4 children each: {4 * mesh.n_triangles})")
+fine = generate_mesh(DomainSpec("lshape"), 8)
+children = np.bincount(ancestor_map(mesh, fine), minlength=mesh.n_triangles)
+print(f"refining lshape level 4 -> level {fine.level}: "
+      f"{mesh.n_triangles} triangles -> {fine.n_triangles} "
+      f"({children.min()} children each: {children.sum()})")
 
 # Meshes serialize to a plain text dump (see `steklovfem mesh --help`).
 buffer = io.StringIO()

@@ -97,9 +97,10 @@ class DofMap:
     For P1 the dofs are the mesh vertices; for Crouzeix-Raviart they are the
     undirected edges, numbered lexicographically by sorted vertex pair, with
     values attached to edge midpoints.  ``cell_dofs[t, i]`` is the dof sitting
-    opposite local vertex ``i`` of triangle ``t`` (for P1 simply vertex ``i``).
-    A P1 map's ``cell_dofs`` and ``dof_points`` are the mesh's own
-    ``triangles`` and ``vertices`` arrays, not copies, so neither is written to.
+    opposite local vertex ``i`` of triangle ``t`` (for P1 simply vertex ``i``,
+    and the array is the mesh's own ``triangles``, not a copy).  The map
+    holds no geometry: a dof's location follows from the mesh through
+    ``cell_dofs``.
 
     Attributes
     ----------
@@ -108,18 +109,12 @@ class DofMap:
     cell_dofs : ndarray, shape (n_triangles, 3)
     boundary_dofs : ndarray
         Sorted dof indices with support on the boundary.
-    dof_points : ndarray, shape (n_dofs, 2)
-        Vertex coordinates (P1) or edge midpoints (CR).
-    edge_vertices : ndarray or None
-        For CR, the sorted endpoint pair of each edge dof.
     """
 
     family: str
     n_dofs: int
     cell_dofs: np.ndarray
     boundary_dofs: np.ndarray
-    dof_points: np.ndarray
-    edge_vertices: np.ndarray | None = None
 
 
 def build_dof_map(mesh: Mesh, family: str) -> DofMap:
@@ -141,7 +136,6 @@ def build_dof_map(mesh: Mesh, family: str) -> DofMap:
             n_dofs=mesh.n_vertices,
             cell_dofs=tris,
             boundary_dofs=np.unique(mesh.boundary_edge_vertices()),
-            dof_points=mesh.vertices,
         )
 
     nv = mesh.n_vertices
@@ -162,26 +156,22 @@ def build_dof_map(mesh: Mesh, family: str) -> DofMap:
     first = np.empty(len(keys), dtype=bool)
     first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    del keys
     numbers = np.cumsum(first)
     numbers -= 1
     cell_dofs = np.empty_like(order)
     cell_dofs[order] = numbers
-    del order, numbers
+    n_dofs = int(numbers[-1]) + 1
+    del first, order, numbers
     cell_dofs = cell_dofs.reshape(-1, 3)
-    uniq_keys = keys[first]
-    del keys
-    edge_vertices = np.column_stack(np.divmod(uniq_keys, nv))
-    midpoints = 0.5 * (mesh.vertices[edge_vertices[:, 0]] + mesh.vertices[edge_vertices[:, 1]])
     # All three traces of a boundary triangle are nonzero on its boundary
     # edge (the two non-midpoint ones are odd linear functions there).
     bdofs = np.unique(cell_dofs[mesh.boundary_edges[:, 0]].ravel())
     return DofMap(
         family=CR,
-        n_dofs=len(uniq_keys),
+        n_dofs=n_dofs,
         cell_dofs=cell_dofs,
         boundary_dofs=bdofs,
-        dof_points=midpoints,
-        edge_vertices=edge_vertices,
     )
 
 

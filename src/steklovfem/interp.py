@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .fem import CR, P1, DofMap, EDGE_GAUSS_POINTS, EDGE_GAUSS_WEIGHTS
-from .mesh import DomainSpec, Mesh, edge_slit_sides
+from .mesh import LOCAL_EDGES, DomainSpec, Mesh, edge_slit_sides
 
 __all__ = [
     "PointFunction",
@@ -94,8 +94,7 @@ def interpolate_p1(mesh: Mesh, dofmap: DofMap, f) -> np.ndarray:
     if dofmap.family != P1:
         raise ValueError("interpolate_p1 requires a P1 dof map")
     pf = as_point_function(f)
-    pts = dofmap.dof_points
-    return pf(pts[:, 0], pts[:, 1], mesh.vertex_slit_side)
+    return pf(mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.vertex_slit_side)
 
 
 def interpolate_cr(mesh: Mesh, dofmap: DofMap, f) -> np.ndarray:
@@ -104,16 +103,16 @@ def interpolate_cr(mesh: Mesh, dofmap: DofMap, f) -> np.ndarray:
     Each dof value is the mean of ``f`` over its edge, computed with the
     two-point Gauss rule (exact for the cubics this project integrates).
     This operator reproduces edge averages exactly, which is what the
-    nonconforming a-priori analysis needs.
+    nonconforming a-priori analysis needs.  Each edge's endpoints are read
+    off the triangles through ``dofmap.cell_dofs``, as its sorted vertex pair.
     """
     if dofmap.family != CR:
         raise ValueError("interpolate_cr requires a CR dof map")
     pf = as_point_function(f)
-    a = dofmap.edge_vertices[:, 0]
-    b = dofmap.edge_vertices[:, 1]
-    pa = mesh.vertices[a]
-    pb = mesh.vertices[b]
-    side = edge_slit_sides(mesh, a, b)
+    ends = np.empty((dofmap.n_dofs, 2), dtype=mesh.triangles.dtype)
+    ends[dofmap.cell_dofs] = np.sort(mesh.triangles[:, LOCAL_EDGES], axis=2)
+    pa, pb = mesh.vertices[ends.T]
+    side = edge_slit_sides(mesh, *ends.T)
     mean = np.zeros(dofmap.n_dofs)
     for t, w in zip(EDGE_GAUSS_POINTS, EDGE_GAUSS_WEIGHTS):
         pt = (1.0 - t) * pa + t * pb

@@ -15,7 +15,7 @@ both count as boundary.  The slit tip ``(1/2, 1/2)`` is stored once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -131,9 +131,6 @@ class Mesh:
     vertex_slit_side : ndarray, shape (n_vertices,)
         ``-1`` for a vertex on the lower slit side, ``+1`` for the upper
         copy, ``0`` elsewhere (always 0 away from the slit domain).
-    square_to_tri : ndarray, shape (level, level, 2)
-        Lower and upper triangle of grid square ``(i, j)``; ``-1`` where the
-        square lies outside the domain.
 
     The storage order fixes the grid layout.  Grid points and squares are
     numbered row by row from ``(0, 0)``, so vertex 0 is the origin.
@@ -148,7 +145,6 @@ class Mesh:
     triangles: np.ndarray
     boundary_edges: np.ndarray
     vertex_slit_side: np.ndarray
-    square_to_tri: np.ndarray = field(repr=False)
 
     @property
     def h(self) -> float:
@@ -211,13 +207,11 @@ def generate_mesh(domain: DomainSpec, level: int) -> Mesh:
     n = int(level)
     half = n // 2
 
-    # Grid point (i/n, j/n) sits at [j, i]; ids number the present points row
-    # by row (absent points are never read).  The L-shape drops the open
-    # upper-right quadrant.
-    j, i = np.mgrid[:n + 1, :n + 1]
-    present = ~((domain.kind == "lshape") & (2 * i > n) & (2 * j > n))
+    # Vertex ids number the present grid points row by row (absent points
+    # are never read).
+    present, (sq_j, sq_i) = _grid(domain, n)
     vid = np.cumsum(present).reshape(n + 1, n + 1) - 1
-    vertices = np.column_stack([i[present] / n, j[present] / n])
+    vertices = np.column_stack(np.nonzero(present)[::-1]) / n
     n_orig = len(vertices)
 
     # Bottom corners of squares see ``below``, top corners ``vid``.  On the
@@ -233,28 +227,39 @@ def generate_mesh(domain: DomainSpec, level: int) -> Mesh:
         below = vid.copy()
         below[half, half + 1:] = n_orig + np.arange(len(lower))
 
-    # A grid square is present exactly when its upper-right corner is.
-    sq_j, sq_i = np.nonzero(present[1:, 1:])
-    n_squares = len(sq_i)
     ll, lr = below[sq_j, sq_i], below[sq_j, sq_i + 1]
     ur, ul = vid[sq_j + 1, sq_i + 1], vid[sq_j + 1, sq_i]
     # Lower triangle (ll, lr, ur), then upper triangle (ll, ur, ul); both CCW.
     triangles = np.column_stack([ll, lr, ur, ll, ur, ul]).reshape(-1, 3)
-
-    square_to_tri = np.full((n, n, 2), -1, dtype=np.int64)
-    square_to_tri[sq_i, sq_j] = np.arange(2 * n_squares).reshape(-1, 2)
-
-    boundary_edges = _ordered_boundary(domain, square_to_tri)
 
     return Mesh(
         domain=domain,
         level=n,
         vertices=vertices,
         triangles=triangles,
-        boundary_edges=boundary_edges,
+        boundary_edges=_ordered_boundary(domain, _square_to_tri((sq_j, sq_i), n)),
         vertex_slit_side=slit_side,
-        square_to_tri=square_to_tri,
     )
+
+
+def _grid(domain: DomainSpec, n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The mask of present grid points, point ``(i/n, j/n)`` at ``[j, i]``, and
+    the present squares ``(j, i)`` row by row, the order that numbers the
+    triangles.  The L-shape drops the open upper-right quadrant, and a grid
+    square is present exactly when its upper-right corner is."""
+    j, i = np.mgrid[:n + 1, :n + 1]
+    present = ~((domain.kind == "lshape") & (2 * i > n) & (2 * j > n))
+    return present, np.nonzero(present[1:, 1:])
+
+
+def _square_to_tri(squares: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
+    """Lower and upper triangle of grid square ``(i, j)`` at level ``n``, shape
+    ``(n, n, 2)``, given the present ``squares`` of :func:`_grid`; ``-1``
+    where the square lies outside the domain."""
+    sq_j, sq_i = squares
+    table = np.full((n, n, 2), -1, dtype=np.int64)
+    table[sq_i, sq_j] = np.arange(2 * len(sq_i)).reshape(-1, 2)
+    return table
 
 
 def _ordered_boundary(domain: DomainSpec, square_to_tri: np.ndarray) -> np.ndarray:
@@ -336,7 +341,7 @@ def ancestor_map(coarse: Mesh, fine: Mesh) -> np.ndarray:
     # odd triangles being upper; the off-diagonal sub-squares lie wholly in
     # one coarse triangle.
     upper = np.where(a == b, np.arange(fine.n_triangles) % 2, b > a)
-    ancestor = coarse.square_to_tri[ci, cj, upper]
+    ancestor = _square_to_tri(_grid(coarse.domain, coarse.level)[1], coarse.level)[ci, cj, upper]
     if (ancestor < 0).any():
         raise RuntimeError("a fine triangle falls outside the coarse mesh")
     counts = np.bincount(ancestor, minlength=coarse.n_triangles)

@@ -7,6 +7,7 @@ meaningful.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -25,8 +26,58 @@ def reference_triangle_mesh(boundary_local_edges=(2, 0, 1)):
         triangles=np.array([[0, 1, 2]]),
         boundary_edges=np.array([[0, loc] for loc in boundary_local_edges]),
         vertex_slit_side=np.zeros(3, dtype=np.int8),
-        square_to_tri=np.array([[[0, -1]]]),
     )
+
+
+def square_table(mesh):
+    """Lower and upper triangle of each grid square ``(i, j)``, ``-1`` where absent.
+
+    Found from geometry alone: a triangle's centroid lies in its grid square,
+    above the square's diagonal for the upper triangle and below it for the
+    lower one.
+    """
+    n = mesh.level
+    centroids = mesh.vertices[mesh.triangles].mean(axis=1) * n
+    i, j = np.floor(centroids).astype(np.int64).T
+    upper = centroids[:, 1] - j > centroids[:, 0] - i
+    table = np.full((n, n, 2), -1, dtype=np.int64)
+    table[i, j, upper.astype(np.int64)] = np.arange(mesh.n_triangles)
+    return table
+
+
+def cr_edge_endpoints(mesh, dofmap):
+    """Sorted endpoint pair of each CR dof's edge, read triangle by triangle:
+    the dof ``cell_dofs[t, i]`` lies on the edge opposite vertex ``i`` of ``t``."""
+    ends = np.full((dofmap.n_dofs, 2), -1, dtype=np.int64)
+    for tri, dofs in zip(mesh.triangles, dofmap.cell_dofs):
+        for opposite, dof in enumerate(dofs):
+            ends[dof] = sorted(v for k, v in enumerate(tri) if k != opposite)
+    return ends
+
+
+def dof_points(mesh, dofmap):
+    """Where each dof sits: the vertices for P1, the edge midpoints for CR."""
+    if dofmap.family == "p1":
+        return mesh.vertices
+    ends = cr_edge_endpoints(mesh, dofmap)
+    return 0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]])
+
+
+def retained_bytes(fn):
+    """Run ``fn()`` once to warm up, then again under tracemalloc; return its
+    result and the bytes still allocated by the second call while the
+    result is alive.  numpy reports its data buffers to tracemalloc."""
+    fn()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def barycentric(corners, point):

@@ -533,6 +533,9 @@ class TestRunConvergenceStudy:
         assert any("cluster" in w for w in table.warnings)
 
     def test_level_validation(self):
+        with pytest.raises(ValueError, match="at least one level"):
+            run_convergence_study(DomainSpec("square"), P1, [],
+                                  reference=ReferenceSpec(level=16))
         with pytest.raises(ValueError, match="must double"):
             run_convergence_study(DomainSpec("square"), P1, [8, 24],
                                   reference=ReferenceSpec(level=128))

@@ -133,11 +133,21 @@ class TestAssembleCommand:
         assert "alpha" in err
 
     def test_mutually_exclusive_coefficient_flags(self, capsys):
-        code, _, err = run_cli("assemble", "--domain", "square", "--level", "4",
-                               "--element", "p1", "--alpha", "2.0",
-                               "--alpha-affine", "1,0,0", capsys=capsys)
-        assert code == 1
-        assert "mutually exclusive" in err
+        for flags in (("--alpha", "2.0", "--alpha-affine", "1,0,0"),
+                      ("--beta", "2", "--beta-affine", "1,0,0")):
+            code, _, err = run_cli("assemble", "--domain", "square", "--level", "4",
+                                   "--element", "p1", *flags, capsys=capsys)
+            assert code == 1
+            assert "mutually exclusive" in err
+
+    @pytest.mark.parametrize("triple, message", (("1,2", "expected c0,c1,c2"),
+                                                 ("a,b,c", "could not convert")))
+    def test_malformed_affine_triple_exits_one(self, capsys, triple, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["assemble", "--domain", "square", "--level", "4", "--element", "p1",
+                  "--alpha-affine", triple])
+        assert excinfo.value.code == 1
+        assert message in capsys.readouterr().err
 
 
 class TestSolveCommand:

@@ -274,6 +274,10 @@ class TestSolvePencilSmall:
         with pytest.raises(ValueError, match="fewer than k"):
             dense_oracle(pencil, 40)
 
+    def test_dense_oracle_needs_a_positive_k(self, get_pencil):
+        with pytest.raises(ValueError, match="k must be between 1 and"):
+            dense_oracle(get_pencil("square", 2, P1), 0)
+
     @pytest.mark.parametrize("k", (3, 4))
     def test_too_small_for_lanczos(self, k):
         # k >= n - 1 skips ARPACK and starts from a full Gaussian block.
@@ -519,8 +523,11 @@ class TestSolvePencilFem:
 class TestMultigridReference:
     """The factor-free reference solve against the direct one on the same pencil."""
 
+    # lshape 36: the hierarchy [36, 18] stops where the next half, 9, is no
+    # valid L-shape level.
     @pytest.mark.parametrize("kind, level", (("lshape", 32), ("slit", 64), ("square", 128),
-                                             ("lshape", 256), ("slit", 256), ("slit", 6)))
+                                             ("lshape", 256), ("slit", 256), ("slit", 6),
+                                             ("lshape", 36)))
     @pytest.mark.parametrize("coeff_id", COEFFICIENTS)
     def test_matches_direct_solve(self, get_mesh, get_dofmap, kind, level, coeff_id):
         coeff = COEFFICIENTS[coeff_id]

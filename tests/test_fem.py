@@ -28,7 +28,7 @@ from steklovfem.fem import (
 )
 from steklovfem.mesh import LOCAL_EDGES
 
-from _utils import reference_triangle_mesh
+from _utils import dof_points, reference_triangle_mesh, retained_bytes
 
 KINDS = ("square", "lshape", "slit")
 # Meshes of this level span at least three assembly blocks on every domain,
@@ -176,26 +176,25 @@ class TestDofMap:
             build_dof_map(get_mesh("square", 2), "p2")
 
     def test_cr_dofs_sit_at_opposite_edge_midpoints(self, get_mesh, get_dofmap):
+        # Every triangle around a dof puts it at the same midpoint.
         mesh = get_mesh("lshape", 4)
         dm = get_dofmap("lshape", 4, CR)
+        points = dof_points(mesh, dm)
         for tri in range(mesh.n_triangles):
             for loc, (a, b) in enumerate(LOCAL_EDGES):
                 va, vb = mesh.triangles[tri, a], mesh.triangles[tri, b]
                 midpoint = 0.5 * (mesh.vertices[va] + mesh.vertices[vb])
-                assert dm.dof_points[dm.cell_dofs[tri, loc]] == pytest.approx(midpoint)
+                assert points[dm.cell_dofs[tri, loc]] == pytest.approx(midpoint)
 
-    def test_cr_neighbours_share_exactly_one_dof(self, get_mesh, get_dofmap):
-        mesh = get_mesh("square", 4)
+    def test_cr_neighbours_share_exactly_one_dof(self, get_dofmap):
+        # Triangles 2s and 2s + 1 halve grid square s = 5, i.e. (1, 1) at level 4.
         dm = get_dofmap("square", 4, CR)
-        lower = mesh.square_to_tri[1, 1, 0]
-        upper = mesh.square_to_tri[1, 1, 1]
-        shared = set(dm.cell_dofs[lower]) & set(dm.cell_dofs[upper])
+        shared = set(dm.cell_dofs[10]) & set(dm.cell_dofs[11])
         assert len(shared) == 1
 
     def test_cr_slit_midpoints_duplicated(self, get_mesh, get_dofmap):
-        mesh = get_mesh("slit", 4)
-        dm = get_dofmap("slit", 4, CR)
-        on_slit = (dm.dof_points[:, 1] == 0.5) & (dm.dof_points[:, 0] > 0.5)
+        points = dof_points(get_mesh("slit", 4), get_dofmap("slit", 4, CR))
+        on_slit = (points[:, 1] == 0.5) & (points[:, 0] > 0.5)
         assert on_slit.sum() == 4  # two edges per slit side at level 4
 
     def test_p1_boundary_dofs_are_boundary_vertices(self, get_mesh, get_dofmap):
@@ -229,9 +228,14 @@ class TestDofMap:
         mesh = get_mesh(kind, 8)
         p1, cr = get_dofmap(kind, 8, P1), get_dofmap(kind, 8, CR)
         assert np.shares_memory(p1.cell_dofs, mesh.triangles)
-        assert np.shares_memory(p1.dof_points, mesh.vertices)
         assert not np.shares_memory(cr.cell_dofs, mesh.triangles)
-        assert not np.shares_memory(cr.dof_points, mesh.vertices)
+
+    def test_cr_map_retains_only_its_arrays(self, get_mesh):
+        # No per-edge geometry stays alive with the map: only its own
+        # arrays, give or take 64 KiB (an n_dofs x 2 array is 770 KiB here).
+        mesh = get_mesh("slit", 128)
+        dm, retained = retained_bytes(lambda: build_dof_map(mesh, CR))
+        assert retained <= dm.cell_dofs.nbytes + dm.boundary_dofs.nbytes + 64 * 1024
 
     def test_p1_slit_duplicates_are_distinct_dofs(self, get_mesh, get_dofmap):
         mesh = get_mesh("slit", 4)
@@ -272,7 +276,7 @@ class TestAssemblyInvariants:
         # analytic integrals of p^2 are precomputed per domain.
         mesh = get_mesh(kind, 4)
         dm = get_dofmap(kind, 4, family)
-        pts = dm.dof_points
+        pts = dof_points(mesh, dm)
         p = 1.0 + 2.0 * pts[:, 0] - pts[:, 1]
         alpha, beta = 2.0, 3.0
         a = assemble_stiffness(mesh, dm, CoefficientField(affine(alpha), affine(beta)))
@@ -438,7 +442,7 @@ class TestEvaluate:
     def test_p1_reproduces_linears(self, get_mesh, get_dofmap):
         mesh = get_mesh("lshape", 4)
         dm = get_dofmap("lshape", 4, P1)
-        values = dm.dof_points[:, 0]
+        values = mesh.vertices[:, 0]
         tris = np.array([0, 5, 11])
         bary = np.tile([0.2, 0.3, 0.5], (len(tris), 1))
         points = np.einsum("tc,tcd->td", bary, mesh.vertices[mesh.triangles[tris]])
@@ -447,7 +451,7 @@ class TestEvaluate:
     def test_cr_reproduces_linears(self, get_mesh, get_dofmap):
         mesh = get_mesh("lshape", 4)
         dm = get_dofmap("lshape", 4, CR)
-        values = dm.dof_points[:, 0]
+        values = dof_points(mesh, dm)[:, 0]
         tris = np.array([0, 7, 13])
         bary = np.tile([0.1, 0.6, 0.3], (len(tris), 1))
         points = np.einsum("tc,tcd->td", bary, mesh.vertices[mesh.triangles[tris]])
@@ -467,13 +471,11 @@ class TestEvaluate:
         with pytest.raises(IndexError):
             evaluate_fe_many(values, dm, np.array([999]), np.array([[1.0, 0.0, 0.0]]))
 
-    def test_cr_is_double_valued_on_interior_edges(self, get_mesh, get_dofmap):
-        mesh = get_mesh("square", 2)
+    def test_cr_is_double_valued_on_interior_edges(self, get_dofmap):
         dm = get_dofmap("square", 2, CR)
         rng = np.random.default_rng(3)
         values = rng.standard_normal(dm.n_dofs)
-        lower = mesh.square_to_tri[0, 0, 0]
-        upper = mesh.square_to_tri[0, 0, 1]
+        lower, upper = 0, 1  # the halves of grid square 0
         shared = (set(dm.cell_dofs[lower]) & set(dm.cell_dofs[upper])).pop()
         loc_lower = list(dm.cell_dofs[lower]).index(shared)
         loc_upper = list(dm.cell_dofs[upper]).index(shared)

@@ -16,7 +16,7 @@ from steklovfem import (
     singular_model,
 )
 
-from _utils import eval_fe_brute, reference_triangle_mesh
+from _utils import cr_edge_endpoints, dof_points, eval_fe_brute, reference_triangle_mesh
 
 GAUSS4 = np.polynomial.legendre.leggauss(4)
 
@@ -109,7 +109,7 @@ class TestInterpolateP1:
         mesh = get_mesh("lshape", 4)
         dm = get_dofmap("lshape", 4, P1)
         values = interpolate_p1(mesh, dm, lambda x, y: 2.0 * x - 3.0 * y + 1.0)
-        pts = dm.dof_points
+        pts = mesh.vertices
         assert values == pytest.approx(2.0 * pts[:, 0] - 3.0 * pts[:, 1] + 1.0)
 
     def test_requires_p1(self, get_mesh, get_dofmap):
@@ -137,7 +137,7 @@ class TestInterpolateCR:
         mesh = get_mesh("lshape", 4)
         dm = get_dofmap("lshape", 4, CR)
         values = interpolate_cr(mesh, dm, lambda x, y: 2.0 * x - 3.0 * y + 1.0)
-        pts = dm.dof_points
+        pts = dof_points(mesh, dm)
         assert values == pytest.approx(2.0 * pts[:, 0] - 3.0 * pts[:, 1] + 1.0)
 
     def test_quadratic_mean_on_unit_edge(self):
@@ -145,7 +145,7 @@ class TestInterpolateCR:
         mesh = reference_triangle_mesh()
         dm = build_dof_map(mesh, CR)
         values = interpolate_cr(mesh, dm, lambda x, y: x**2)
-        bottom = np.where((dm.dof_points[:, 1] == 0.0))[0]
+        bottom = np.where((dof_points(mesh, dm)[:, 1] == 0.0))[0]
         assert len(bottom) == 1
         assert values[bottom[0]] == pytest.approx(1.0 / 3.0)
 
@@ -157,8 +157,9 @@ class TestInterpolateCR:
             return (x + 2.0 * y) ** 3 - x * y + 1.0
 
         values = interpolate_cr(mesh, dm, f)
-        pa = mesh.vertices[dm.edge_vertices[:, 0]]
-        pb = mesh.vertices[dm.edge_vertices[:, 1]]
+        ends = cr_edge_endpoints(mesh, dm)
+        pa = mesh.vertices[ends[:, 0]]
+        pb = mesh.vertices[ends[:, 1]]
         expected = [edge_mean(a, b, f) for a, b in zip(pa, pb)]
         assert values == pytest.approx(expected, rel=1e-12)
 
@@ -171,7 +172,8 @@ class TestInterpolateCR:
         dm = get_dofmap("slit", 4, CR)
         pf = PointFunction(evaluation=lambda x, y, side: np.asarray(side, dtype=float))
         values = interpolate_cr(mesh, dm, pf)
-        on_slit = (dm.dof_points[:, 1] == 0.5) & (dm.dof_points[:, 0] > 0.5)
+        pts = dof_points(mesh, dm)
+        on_slit = (pts[:, 1] == 0.5) & (pts[:, 0] > 0.5)
         assert np.sort(values[on_slit]) == pytest.approx([-1.0, -1.0, 1.0, 1.0])
 
     def test_projection_on_fe_functions(self, get_mesh, get_dofmap):

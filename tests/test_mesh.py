@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from _utils import barycentric, undirected_edge_count
+from _utils import barycentric, retained_bytes, square_table, undirected_edge_count
 from steklovfem import (
     DomainSpec,
     InvalidLevelError,
@@ -14,16 +14,18 @@ from steklovfem import (
     refine,
     write_mesh,
 )
-from steklovfem.mesh import EDGE_ENDS, EDGE_STARTS, LOCAL_EDGES, edge_slit_sides
+from steklovfem.mesh import (EDGE_ENDS, EDGE_STARTS, LOCAL_EDGES, _grid, _square_to_tri,
+                             edge_slit_sides)
 
 KINDS = ("square", "lshape", "slit")
 SQRT2 = math.sqrt(2.0)
 
 
-def dictionary_chain_boundary(domain, triangles, square_to_tri):
+def dictionary_chain_boundary(mesh):
     """Oracle: boundary edges found by an edge search, chained by a dictionary from vertex 0."""
-    n = square_to_tri.shape[0]
-    lower, upper = square_to_tri[..., 0], square_to_tri[..., 1]
+    domain, triangles, table = mesh.domain, mesh.triangles, square_table(mesh)
+    n = mesh.level
+    lower, upper = table[..., 0], table[..., 1]
     present = np.pad(lower >= 0, 1)  # square (i, j) at [i + 1, j + 1]
     inside = present[1:-1, 1:-1]
     open_right, open_left = ~present[2:, 1:-1], ~present[:-2, 1:-1]
@@ -227,7 +229,7 @@ class TestBoundaryChain:
     ])
     def test_matches_dictionary_chain_oracle(self, kind, level):
         m = generate_mesh(DomainSpec(kind), level)
-        want = dictionary_chain_boundary(m.domain, m.triangles, m.square_to_tri)
+        want = dictionary_chain_boundary(m)
         assert m.boundary_edges.dtype == want.dtype
         assert m.boundary_edges.shape == want.shape
         assert m.boundary_edges.tobytes() == want.tobytes()
@@ -365,9 +367,9 @@ class TestStorageOrder:
     @pytest.mark.parametrize("level", (2, 8, 150))
     def test_squares_row_by_row(self, get_mesh, kind, level):
         m = get_mesh(kind, level)
-        sq_j, sq_i = np.nonzero(m.square_to_tri[..., 0].T >= 0)
-        assert np.array_equal(m.square_to_tri[sq_i, sq_j],
-                              np.arange(m.n_triangles).reshape(-1, 2))
+        table = square_table(m)
+        sq_j, sq_i = np.nonzero(table[..., 0].T >= 0)
+        assert np.array_equal(table[sq_i, sq_j], np.arange(m.n_triangles).reshape(-1, 2))
         lower, upper = m.triangles[0::2], m.triangles[1::2]
         assert np.array_equal(lower[:, 0], upper[:, 0])
         assert np.array_equal(m.vertices[lower[:, 0]], np.column_stack([sq_i, sq_j]) / level)
@@ -384,6 +386,24 @@ class TestStorageOrder:
         assert (grid[lower[:, 2]] - grid[lower[:, 0]] == [1, 1]).all()
         assert np.array_equal(lower[:, 2], upper[:, 1])
         assert tuple(m.vertices[0]) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("level", (2, 8, 150))
+    def test_square_table_matches_geometry(self, get_mesh, kind, level):
+        # The table built on demand from the present squares equals the one
+        # read off the triangles' centroids, absent squares included.
+        table = _square_to_tri(_grid(DomainSpec(kind), level)[1], level)
+        want = square_table(get_mesh(kind, level))
+        assert table.dtype == want.dtype
+        assert np.array_equal(table, want)
+
+    def test_mesh_retains_only_its_arrays(self):
+        # No level x level x 2 square table (256 KiB at this level) stays
+        # alive with the mesh: only its own arrays, give or take 64 KiB.
+        m, retained = retained_bytes(lambda: generate_mesh(DomainSpec("slit"), 128))
+        own = sum(a.nbytes for a in (m.vertices, m.triangles, m.boundary_edges,
+                                     m.vertex_slit_side))
+        assert retained <= own + 64 * 1024
 
 
 class TestMeshDump:
