@@ -34,37 +34,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_affine_triple(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected c0,c1,c2 but got {text!r}")
+def _parse_affine(text: str) -> tuple[float, ...]:
+    """One or three comma-separated numbers: the arguments of :func:`affine`.
+
+    >>> _parse_affine("2")
+    (2.0,)
+    >>> _parse_affine("1,0.5,-0.25")
+    (1.0, 0.5, -0.25)
+    >>> _parse_affine("1,2")
+    Traceback (most recent call last):
+    argparse.ArgumentTypeError: expected C0 or C0,CX,CY but got '1,2'
+    """
     try:
-        c0, c1, c2 = (float(p) for p in parts)
+        values = tuple(float(p) for p in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return (c0, c1, c2)
+    if len(values) not in (1, 3):
+        raise argparse.ArgumentTypeError(f"expected C0 or C0,CX,CY but got {text!r}")
+    return values
 
 
 def _add_coefficient_flags(sub) -> None:
-    sub.add_argument("--alpha", type=float, default=None,
-                     help="constant diffusion coefficient (default 1)")
-    sub.add_argument("--beta", type=float, default=None,
-                     help="constant reaction coefficient (default 1)")
-    sub.add_argument("--alpha-affine", type=_parse_affine_triple, default=None,
-                     metavar="C0,C1,C2", help="affine diffusion c0 + c1*x1 + c2*x2")
-    sub.add_argument("--beta-affine", type=_parse_affine_triple, default=None,
-                     metavar="C0,C1,C2", help="affine reaction c0 + c1*x1 + c2*x2")
+    for name, role in (("alpha", "diffusion"), ("beta", "reaction")):
+        sub.add_argument(f"--{name}", type=_parse_affine, default=(1.0,), metavar="C0[,CX,CY]",
+                         help=f"{role} coefficient c0 + cx*x1 + cy*x2 (default 1)")
 
 
 def _coefficient_field(args) -> CoefficientField:
-    """The coefficients named by ``--alpha``/``--beta`` or their affine forms."""
-    if args.alpha is not None and args.alpha_affine is not None:
-        raise ValueError("--alpha and --alpha-affine are mutually exclusive")
-    if args.beta is not None and args.beta_affine is not None:
-        raise ValueError("--beta and --beta-affine are mutually exclusive")
-    alpha = args.alpha_affine or (1.0 if args.alpha is None else args.alpha,)
-    beta = args.beta_affine or (1.0 if args.beta is None else args.beta,)
-    return CoefficientField(alpha=affine(*alpha), beta=affine(*beta))
+    """The coefficients named by ``--alpha`` and ``--beta``."""
+    return CoefficientField(alpha=affine(*args.alpha), beta=affine(*args.beta))
 
 
 @contextmanager

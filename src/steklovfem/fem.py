@@ -87,7 +87,8 @@ def _blocks(n: int):
 
 
 class InvalidCoefficientError(ValueError):
-    """Raised when a coefficient is not strictly positive at a quadrature point."""
+    """Raised when a coefficient is not strictly positive at a quadrature point,
+    or so large that the stiffness matrix has non-finite entries."""
 
 
 @dataclass
@@ -272,8 +273,7 @@ _PAIR_A, _PAIR_B = _LOCAL_PAIRS.T
 
 def _canonical(coo: sp.coo_matrix) -> sp.csr_matrix:
     """The canonical CSR form of upper-triangle COO triplets: duplicates summed, zeros dropped."""
-    upper = coo.tocsr()
-    upper.sum_duplicates()
+    upper = coo.tocsr()  # sums duplicates, but keeps explicit zeros
     upper.eliminate_zeros()
     return upper
 
@@ -377,8 +377,17 @@ def assemble_stiffness(mesh: Mesh, dofmap: DofMap,
     >>> assemble_stiffness(mesh, build_dof_map(mesh, P1)).nnz
     25
     """
-    entries = _stiffness_entries(mesh, dofmap.family, coeff)
-    return _scatter(dofmap.cell_dofs, entries, dofmap.n_dofs)
+    # An infinite or huge coefficient makes inf/nan entries; they are
+    # counted below, so numpy's warnings about them would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = _stiffness_entries(mesh, dofmap.family, coeff)
+        matrix = _scatter(dofmap.cell_dofs, entries, dofmap.n_dofs)
+    finite = np.isfinite(matrix.upper.data)
+    if not finite.all():
+        raise InvalidCoefficientError(
+            f"stiffness matrix has {finite.size - np.count_nonzero(finite)} non-finite "
+            f"entries: a coefficient is infinite or too large")
+    return matrix
 
 
 def assemble_boundary_mass(mesh: Mesh, dofmap: DofMap) -> SymSparse:

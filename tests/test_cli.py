@@ -54,7 +54,7 @@ class TestRunConfig:
 
     def test_coefficient_field(self):
         args = build_parser().parse_args(
-            ["study", "--domain", "square", "--element", "p1", "--alpha-affine", "2,1,0",
+            ["study", "--domain", "square", "--element", "p1", "--alpha", "2,1,0",
              "--beta", "3"])
         coeff = _coefficient_field(args)
         assert coeff.alpha(np.array(0.5), np.array(0.0)) == pytest.approx(2.5)
@@ -132,22 +132,46 @@ class TestAssembleCommand:
         assert code == 1
         assert "alpha" in err
 
-    def test_mutually_exclusive_coefficient_flags(self, capsys):
-        for flags in (("--alpha", "2.0", "--alpha-affine", "1,0,0"),
-                      ("--beta", "2", "--beta-affine", "1,0,0")):
-            code, _, err = run_cli("assemble", "--domain", "square", "--level", "4",
-                                   "--element", "p1", *flags, capsys=capsys)
-            assert code == 1
-            assert "mutually exclusive" in err
+    @pytest.mark.parametrize("command", ("assemble", "solve"))
+    def test_non_finite_stiffness_exits_one(self, tmp_path, capsys, command):
+        # inf passes the positivity check; 1e308 is finite but its element
+        # contributions overflow when they are summed.
+        target = tmp_path / "out.txt"
+        for level, alpha in (("2", "inf"), ("16", "1e308")):
+            code, out, err = run_cli(command, "--domain", "square", "--level", level,
+                                     "--element", "p1", "--alpha", alpha,
+                                     "--out", str(target), capsys=capsys)
+            assert code == 1 and out == "" and not target.exists()
+            assert err.startswith("steklovfem: error: ") and err.count("\n") == 1
+            assert "non-finite" in err
 
-    @pytest.mark.parametrize("triple, message", (("1,2", "expected c0,c1,c2"),
+    def test_constant_is_affine_with_zero_slopes(self, tmp_path, capsys):
+        dumps = []
+        for alpha in ("2", "2,0,0"):
+            target = tmp_path / f"{alpha}.txt"
+            code, _, _ = run_cli("assemble", "--domain", "lshape", "--level", "8",
+                                 "--element", "cr", "--alpha", alpha,
+                                 "--out", str(target), capsys=capsys)
+            assert code == 0
+            dumps.append(target.read_bytes())
+        assert dumps[0] == dumps[1]
+
+    @pytest.mark.parametrize("triple, message", (("1,2", "C0 or C0,CX,CY"),
                                                  ("a,b,c", "could not convert")))
     def test_malformed_affine_triple_exits_one(self, capsys, triple, message):
         with pytest.raises(SystemExit) as excinfo:
             main(["assemble", "--domain", "square", "--level", "4", "--element", "p1",
-                  "--alpha-affine", triple])
+                  "--alpha", triple])
         assert excinfo.value.code == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ("--alpha-affine", "--beta-affine"))
+    def test_affine_twin_flags_are_gone(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["assemble", "--domain", "square", "--level", "4", "--element", "p1",
+                  flag, "1,0,0"])
+        assert excinfo.value.code == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestSolveCommand:
@@ -187,8 +211,8 @@ class TestSolveCommand:
     def test_affine_coefficients_accepted(self, capsys):
         code, out, _ = run_cli("solve", "--domain", "square", "--level", "4",
                                "--element", "p1", "--k", "1",
-                               "--alpha-affine", "1,0.5,0.5",
-                               "--beta-affine", "2,-0.5,0", capsys=capsys)
+                               "--alpha", "1,0.5,0.5",
+                               "--beta", "2,-0.5,0", capsys=capsys)
         assert code == 0
         assert out.startswith("lambda_1 = ")
 

@@ -14,4 +14,4 @@ def test_docstring_examples():
     results = [doctest.testmod(importlib.import_module(f"steklovfem.{name}"))
                for name in MODULES]
     assert sum(r.failed for r in results) == 0
-    assert sum(r.attempted for r in results) >= 20
+    assert sum(r.attempted for r in results) >= 25

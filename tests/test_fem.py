@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -399,6 +400,18 @@ class TestCoefficientValidation:
         dm = get_dofmap("square", 4, P1)
         with pytest.raises(InvalidCoefficientError):
             assemble_stiffness(mesh, dm, CoefficientField(affine(0.0), affine(1.0)))
+
+    @pytest.mark.parametrize("level, coeff", (
+        (2, CoefficientField(alpha=affine(np.inf), beta=affine(1.0))),
+        (2, CoefficientField(alpha=affine(1.0), beta=affine(np.inf))),
+        # Finite, but the element contributions overflow when summed.
+        (16, CoefficientField(alpha=affine(1e308), beta=affine(1.0)))))
+    def test_non_finite_stiffness_rejected(self, get_mesh, get_dofmap, level, coeff):
+        mesh, dm = get_mesh("square", level), get_dofmap("square", level, P1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidCoefficientError, match="non-finite entries"):
+                assemble_stiffness(mesh, dm, coeff)
 
     def test_unit_default(self, get_mesh, get_dofmap):
         mesh = get_mesh("square", 2)
