@@ -411,24 +411,21 @@ class ConvergenceTable:
     def expected_u_rate(self) -> float:
         return self.domain.expected_r + 0.5
 
+    def _cells(self) -> list[list[str]]:
+        """Each row's printed cells: h, lambda, its ratio, the trace error, its ratio."""
+        def cell(value: float | None) -> str:
+            return "" if value is None else f"{value:.8f}"
+        return [[f"sqrt2/{row.level}", cell(row.lambda_h), cell(row.lambda_ratio),
+                 cell(row.u_error), cell(row.u_ratio)] for row in self.rows]
+
     def to_csv(self) -> str:
         lines = ["h,lambda,ratio_lambda,err_boundary,ratio_u"]
-        for row in self.rows:
-            rl = "" if row.lambda_ratio is None else f"{row.lambda_ratio:.8f}"
-            ru = "" if row.u_ratio is None else f"{row.u_ratio:.8f}"
-            lines.append(f"sqrt2/{row.level},{row.lambda_h:.8f},{rl},{row.u_error:.8f},{ru}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines + [",".join(cells) for cells in self._cells()]) + "\n"
 
     def to_markdown(self) -> str:
         head = (f"| h | lambda_{self.eig_index} | ratio | err(u_{self.eig_index}) | ratio |\n"
                 "|---|---|---|---|---|\n")
-        body = []
-        for row in self.rows:
-            rl = "" if row.lambda_ratio is None else f"{row.lambda_ratio:.8f}"
-            ru = "" if row.u_ratio is None else f"{row.u_ratio:.8f}"
-            body.append(f"| sqrt2/{row.level} | {row.lambda_h:.8f} | {rl} | "
-                        f"{row.u_error:.8f} | {ru} |")
-        return head + "\n".join(body) + "\n"
+        return head + "\n".join(f"| {' | '.join(cells)} |" for cells in self._cells()) + "\n"
 
 
 def _validate_levels(levels: Sequence[int], reference_level: int) -> list[int]:
@@ -457,11 +454,13 @@ def run_convergence_study(domain: DomainSpec, family: str, levels: Sequence[int]
                           reference_solution: ReferenceSolution | None = None) -> ConvergenceTable:
     """Reproduce one eigenvalue/eigenfunction convergence table.
 
-    For each level the pencil is solved for ``eig_index + 1`` pairs, the
-    target eigenfunction is sign-aligned to the transferred reference, and
-    the boundary L2 error is measured on the reference partition.  Ratios
-    compare a level with the next finer one and sit on the coarser row; the
-    finest row has none.
+    Each level is meshed, solved and measured in one pass: the pencil is
+    solved for ``eig_index + 1`` pairs, the target eigenfunction is
+    sign-aligned to the transferred reference, and the boundary L2 error is
+    measured on the reference partition.  A Richardson reference fits the
+    conforming eigenvalues of the three finest levels, which a CR study
+    solves in the same pass.  Ratios compare a level with the next finer one
+    and sit on the coarser row; the finest row has none.
 
     Parameters
     ----------
@@ -498,12 +497,12 @@ def run_convergence_study(domain: DomainSpec, family: str, levels: Sequence[int]
         if not ok:
             raise ValueError("reference solution does not match the study configuration")
 
-    meshes = {lvl: generate_mesh(domain, lvl) for lvl in levels}
+    fit_levels = levels[-3:] if mode == "richardson" else []
     lambda_hs: list[float] = []
     u_errors: list[float] = []
-    conforming_lambdas: dict[int, float] = {}
+    fit_lambdas: list[float] = []
     for lvl in levels:
-        mesh = meshes[lvl]
+        mesh = generate_mesh(domain, lvl)
         dofmap, sol = _solve_level(mesh, family, coeff, eig_index + 1, tol, seed)
         lam = sol.eigenvalues
         target = float(lam[eig_index - 1])
@@ -514,42 +513,34 @@ def run_convergence_study(domain: DomainSpec, family: str, levels: Sequence[int]
                     warnings.append(
                         f"level {lvl}: eigenvalue {eig_index} sits in a cluster "
                         f"(relative gap {gap:.2e}); pairing with the reference may be unstable")
-        if family == P1:
-            conforming_lambdas[lvl] = target
         u_h = FeFunction(mesh, dofmap, sol.eigenvectors[:, eig_index - 1])
         trace = transfer_reference(reference_solution.fn, mesh)
-        u_h = align_sign(u_h, trace)
-        u_errors.append(boundary_l2_error(u_h, trace))
+        u_errors.append(boundary_l2_error(align_sign(u_h, trace), trace))
         lambda_hs.append(target)
+        if lvl in fit_levels:
+            del dofmap, sol, u_h, trace  # a CR solution is freed before its P1 twin is solved
+            fit_lambdas.append(target if family == P1 else float(_solve_level(
+                mesh, P1, coeff, eig_index + 1, tol, seed)[1].eigenvalues[eig_index - 1]))
+    if fit_levels:
+        reference_lambda = _richardson_fit(fit_levels, fit_lambdas, 2.0 * domain.expected_r)
 
-    if mode == "richardson":
-        fit_levels = levels[-3:]
-        for lvl in fit_levels:
-            if lvl not in conforming_lambdas:
-                conforming_lambdas[lvl] = _solve_level(
-                    meshes[lvl], P1, coeff, eig_index + 1, tol, seed)[1].eigenvalues[eig_index - 1]
-        reference_lambda = _richardson_fit(
-            fit_levels, [conforming_lambdas[l] for l in fit_levels],
-            2.0 * domain.expected_r)
+    def ratio(lvl: int, what: str, errors: list[float]) -> float | None:
+        """The observed order between ``errors[0]`` and the next finer ``errors[1]``."""
+        if len(errors) < 2:
+            return None
+        try:
+            return convergence_ratio(*errors)
+        except UndefinedRatioError:
+            warnings.append(f"level {lvl}: {what} ratio undefined (zero error)")
+            return None
 
-    rows: list[ConvergenceRow] = []
     lambda_errors = [abs(lh - reference_lambda) for lh in lambda_hs]
-    for i, lvl in enumerate(levels):
-        lam_ratio: float | None = None
-        u_ratio: float | None = None
-        if i + 1 < len(levels):
-            try:
-                lam_ratio = convergence_ratio(lambda_errors[i], lambda_errors[i + 1])
-            except UndefinedRatioError:
-                warnings.append(f"level {lvl}: eigenvalue ratio undefined (zero error)")
-            try:
-                u_ratio = convergence_ratio(u_errors[i], u_errors[i + 1])
-            except UndefinedRatioError:
-                warnings.append(f"level {lvl}: trace error ratio undefined (zero error)")
-        rows.append(ConvergenceRow(level=lvl, h=math.sqrt(2.0) / lvl,
-                                   lambda_h=lambda_hs[i], lambda_error=lambda_errors[i],
-                                   lambda_ratio=lam_ratio, u_error=u_errors[i],
-                                   u_ratio=u_ratio))
+    rows = [ConvergenceRow(level=lvl, h=math.sqrt(2.0) / lvl, lambda_h=lambda_hs[i],
+                           lambda_error=lambda_errors[i],
+                           lambda_ratio=ratio(lvl, "eigenvalue", lambda_errors[i:i + 2]),
+                           u_error=u_errors[i],
+                           u_ratio=ratio(lvl, "trace error", u_errors[i:i + 2]))
+            for i, lvl in enumerate(levels)]
     return ConvergenceTable(domain=domain, family=family, eig_index=eig_index,
                             reference_mode=mode, reference_level=reference.level,
                             reference_lambda=reference_lambda, rows=rows,

@@ -14,15 +14,12 @@ from contextlib import contextmanager
 from .analysis import ReferenceSpec, run_convergence_study
 from .eigen import (ConvergenceFailureError, DEFAULT_SEED, DEFAULT_TOL,
                     NotPositiveDefiniteError, Pencil, solve_pencil)
-from .fem import (CR, CoefficientField, InvalidCoefficientError, P1, affine,
-                  assemble_boundary_mass, assemble_stiffness, build_dof_map,
-                  write_matrix)
-from .mesh import DomainSpec, InvalidLevelError, generate_mesh, write_mesh
+from .fem import (_FAMILIES, CoefficientField, affine, assemble_boundary_mass,
+                  assemble_stiffness, build_dof_map, write_matrix)
+from .mesh import _KINDS, DomainSpec, generate_mesh, write_mesh
 
 __all__ = ["main"]
 
-_DOMAINS = ("square", "lshape", "slit")
-_FAMILIES = (P1, CR)
 BASE_STUDY_LEVEL = 8
 
 
@@ -52,12 +49,6 @@ def _parse_affine(text: str) -> tuple[float, ...]:
     if len(values) not in (1, 3):
         raise argparse.ArgumentTypeError(f"expected C0 or C0,CX,CY but got {text!r}")
     return values
-
-
-def _add_coefficient_flags(sub) -> None:
-    for name, role in (("alpha", "diffusion"), ("beta", "reaction")):
-        sub.add_argument(f"--{name}", type=_parse_affine, default=(1.0,), metavar="C0[,CX,CY]",
-                         help=f"{role} coefficient c0 + cx*x1 + cy*x2 (default 1)")
 
 
 def _coefficient_field(args) -> CoefficientField:
@@ -151,57 +142,53 @@ def cmd_study(args) -> int:
     return 0
 
 
+# Every flag once; each subcommand below lists the flags it takes, in help order.
+_FLAGS = {
+    "domain": dict(choices=_KINDS, required=True),
+    "level": dict(type=int, required=True),
+    "element": dict(choices=_FAMILIES, required=True),
+    "which": dict(choices=("stiffness", "boundary-mass"), default="stiffness"),
+    "k": dict(type=int, default=5, help="number of eigenpairs"),
+    "min-level": dict(type=int, default=8),
+    "max-level": dict(type=int, default=128),
+    "ref-level": dict(type=int, default=512,
+                      help="reference trace level (must exceed --max-level)"),
+    "eig-index": dict(type=int, default=2),
+    "reference": dict(choices=("auto", "bracket", "richardson"), default="auto",
+                      help="reference eigenvalue mode: tabulated enclosure "
+                           "midpoint or Richardson extrapolation"),
+    "tol": dict(type=float, default=DEFAULT_TOL),
+    "seed": dict(type=int, default=DEFAULT_SEED),
+    "alpha": dict(type=_parse_affine, default=(1.0,), metavar="C0[,CX,CY]",
+                  help="diffusion coefficient c0 + cx*x1 + cy*x2 (default 1)"),
+    "beta": dict(type=_parse_affine, default=(1.0,), metavar="C0[,CX,CY]",
+                 help="reaction coefficient c0 + cx*x1 + cy*x2 (default 1)"),
+    "format": dict(choices=("csv", "markdown"), default="csv"),
+    "out": dict(default=None, help="output path (default stdout)"),
+}
+
+_COMMANDS = (
+    ("mesh", "generate a mesh and write its dump", cmd_mesh, ("domain", "level", "out")),
+    ("assemble", "assemble a matrix and write its dump", cmd_assemble,
+     ("domain", "level", "element", "which", "alpha", "beta", "out")),
+    ("solve", "solve the eigenproblem", cmd_solve,
+     ("domain", "level", "element", "k", "tol", "seed", "alpha", "beta", "out")),
+    ("study", "run a convergence study", cmd_study,
+     ("domain", "element", "min-level", "max-level", "ref-level", "eig-index", "reference",
+      "tol", "seed", "alpha", "beta", "format", "out")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="steklovfem",
                      description="P1/Crouzeix-Raviart discretization of Steklov "
                                  "eigenvalue problems with convergence studies.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_mesh = sub.add_parser("mesh", help="generate a mesh and write its dump")
-    p_mesh.add_argument("--domain", choices=_DOMAINS, required=True)
-    p_mesh.add_argument("--level", type=int, required=True)
-    p_mesh.add_argument("--out", default=None, help="output path (default stdout)")
-    p_mesh.set_defaults(func=cmd_mesh)
-
-    p_asm = sub.add_parser("assemble", help="assemble a matrix and write its dump")
-    p_asm.add_argument("--domain", choices=_DOMAINS, required=True)
-    p_asm.add_argument("--level", type=int, required=True)
-    p_asm.add_argument("--element", choices=_FAMILIES, required=True)
-    p_asm.add_argument("--which", choices=("stiffness", "boundary-mass"),
-                       default="stiffness")
-    _add_coefficient_flags(p_asm)
-    p_asm.add_argument("--out", default=None)
-    p_asm.set_defaults(func=cmd_assemble)
-
-    p_solve = sub.add_parser("solve", help="solve the eigenproblem")
-    p_solve.add_argument("--domain", choices=_DOMAINS, required=True)
-    p_solve.add_argument("--level", type=int, required=True)
-    p_solve.add_argument("--element", choices=_FAMILIES, required=True)
-    p_solve.add_argument("--k", type=int, default=5, help="number of eigenpairs")
-    p_solve.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_solve.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_coefficient_flags(p_solve)
-    p_solve.add_argument("--out", default=None)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_study = sub.add_parser("study", help="run a convergence study")
-    p_study.add_argument("--domain", choices=_DOMAINS, required=True)
-    p_study.add_argument("--element", choices=_FAMILIES, required=True)
-    p_study.add_argument("--min-level", type=int, default=8)
-    p_study.add_argument("--max-level", type=int, default=128)
-    p_study.add_argument("--ref-level", type=int, default=512,
-                         help="reference trace level (must exceed --max-level)")
-    p_study.add_argument("--eig-index", type=int, default=2)
-    p_study.add_argument("--reference", choices=("auto", "bracket", "richardson"),
-                         default="auto",
-                         help="reference eigenvalue mode: tabulated enclosure "
-                              "midpoint or Richardson extrapolation")
-    p_study.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_study.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_coefficient_flags(p_study)
-    p_study.add_argument("--format", choices=("csv", "markdown"), default="csv")
-    p_study.add_argument("--out", default=None)
-    p_study.set_defaults(func=cmd_study)
+    for name, help_text, func, flags in _COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            command.add_argument(f"--{flag}", **_FLAGS[flag])
+        command.set_defaults(func=func)
     return parser
 
 
@@ -210,7 +197,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidLevelError, InvalidCoefficientError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # invalid levels and coefficients are ValueErrors
         print(f"steklovfem: error: {exc}", file=sys.stderr)
         return 1
     except (NotPositiveDefiniteError, ConvergenceFailureError) as exc:

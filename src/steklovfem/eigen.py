@@ -486,7 +486,8 @@ def dense_oracle(pencil: Pencil, k: int) -> EigenSolution:
     try:
         mu, y = sla.eigh(b, a, subset_by_index=[n - k, n - 1])
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
+        # scipy calls the second matrix of eigh(b, a) "B"; here it is the pencil's A.
+        raise NotPositiveDefiniteError(str(exc).replace(" of B ", " of A ")) from exc
     mu, y = mu[::-1], y[:, ::-1]
     if mu[-1] <= max(mu[0], 0.0) * 1e-12:
         raise ValueError(f"pencil has fewer than k={k} finite eigenvalues (rank of B too small)")

@@ -507,6 +507,12 @@ class TestRunConvergenceStudy:
         last = lines[3].split(",")
         assert last[2] == "" and last[4] == ""
 
+    def test_csv_and_markdown_print_the_same_cells(self, square_table):
+        csv_rows = [line.split(",") for line in square_table.to_csv().splitlines()[1:]]
+        md_rows = [line[2:-2].split(" | ") for line in square_table.to_markdown().splitlines()[2:]]
+        assert csv_rows == md_rows
+        assert md_rows[-1][2] == "" and md_rows[-1][4] == ""
+
     def test_markdown_structure(self, square_table):
         md = square_table.to_markdown()
         lines = md.strip().splitlines()
@@ -531,6 +537,30 @@ class TestRunConvergenceStudy:
             DomainSpec("square"), P1, [8, 16, 32], eig_index=2,
             reference=ReferenceSpec(level=64))
         assert any("cluster" in w for w in table.warnings)
+
+    def test_cr_richardson_fits_the_conforming_eigenvalues(self, square_table):
+        # A CR study fits the P1 eigenvalues of its own levels, so both families
+        # extrapolate from the same conforming solves.
+        cr = run_convergence_study(
+            DomainSpec("square"), CR, [8, 16, 32], eig_index=1,
+            reference=ReferenceSpec(level=128))
+        assert cr.reference_mode == "richardson"
+        assert cr.reference_lambda == square_table.reference_lambda
+        assert [row.lambda_h for row in cr.rows] != [row.lambda_h for row in square_table.rows]
+
+    def test_zero_trace_error_leaves_ratio_undefined(self, monkeypatch):
+        import steklovfem.analysis as analysis
+
+        measure = analysis.boundary_l2_error
+        monkeypatch.setattr(analysis, "boundary_l2_error",
+                            lambda u, ref: 0.0 if u.mesh.level == 32 else measure(u, ref))
+        table = run_convergence_study(
+            DomainSpec("square"), P1, [8, 16, 32], eig_index=1,
+            reference=ReferenceSpec(level=64))
+        assert table.warnings == ["level 16: trace error ratio undefined (zero error)"]
+        assert table.rows[1].u_ratio is None and table.rows[1].u_error > 0.0
+        assert table.rows[0].u_ratio is not None and table.rows[1].lambda_ratio is not None
+        assert table.to_csv().splitlines()[2].endswith(",")
 
     def test_level_validation(self):
         with pytest.raises(ValueError, match="at least one level"):

@@ -53,6 +53,22 @@ STUDY_SHA256 = {
     ("slit", "cr"): "386c838153c54aaa04723197d9ca4d2ad996daaa52a4fb5cca61d491323c60f6",
 }
 
+# `steklovfem study --min-level 8 --max-level 32 --ref-level 64` plus the given flags: the
+# table (CSV, or markdown with --format) and the stdout report.  None of these cases has a
+# tabulated enclosure, so each fits a Richardson reference; for CR that fit reads
+# conforming P1 eigenvalues of the study levels.
+STUDY_RICHARDSON_SHA256 = {
+    ("square", "cr", ()): (
+        "aa0d67b421e449adda597c44b00ab44cca7434a0e79b7c479dd79868328275af",
+        "d934ae9fb71734e3351393dc55c6d28ad774cadfbb5d7403133b9887ee047f9e"),
+    ("square", "cr", ("--format", "markdown")): (
+        "97350897e8b4e12c6a34c3b42b733cf41d1da2b62d02dc52e58c14e041125eb2",
+        "d934ae9fb71734e3351393dc55c6d28ad774cadfbb5d7403133b9887ee047f9e"),
+    ("lshape", "cr", ("--eig-index", "3")): (
+        "a5c595ca346ff62f1cbbe903f6744606f366c5dd632b302a4400b6512bcc19ec",
+        "b0b8c57a50a923f426cd3f3db6277bddeddc94e91196e09b5aced5e9f806491b"),
+}
+
 AFFINE_COEFFICIENTS = CoefficientField(alpha=affine(1, 0.5, 0.25), beta=affine(2, -0.5, 0.5))
 
 
@@ -82,3 +98,15 @@ def test_study_csv(tmp_path, capsys, kind, element):
                  "--max-level", "64", "--ref-level", "128", "--out", str(target)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(target.read_bytes()).hexdigest() == STUDY_SHA256[kind, element]
+
+
+@pytest.mark.parametrize("kind, element, flags", sorted(STUDY_RICHARDSON_SHA256),
+                         ids=lambda v: ("-".join(f.lstrip("-") for f in v) or "csv")
+                         if isinstance(v, tuple) else v)
+def test_study_richardson_table_and_report(tmp_path, capsys, kind, element, flags):
+    target = tmp_path / "study.out"
+    assert main(["study", "--domain", kind, "--element", element, "--min-level", "8",
+                 "--max-level", "32", "--ref-level", "64", *flags, "--out", str(target)]) == 0
+    table_sha, report_sha = STUDY_RICHARDSON_SHA256[kind, element, flags]
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == table_sha
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == report_sha
