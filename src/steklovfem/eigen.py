@@ -10,8 +10,10 @@ Lanczos (ARPACK, see Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, SIAM
 1998) in shift-invert mode on that boundary pencil, with vectors of boundary
 length only, then polishes the harmonic extensions of its vectors with
 Rayleigh-Ritz sweeps of inverse subspace iteration on the full pencil until
-every residual meets the tolerance.  Both stages apply ``A^{-1}`` through
-one sparse factorization, and neither forms ``S``.
+every residual meets the tolerance.  Lanczos stops at that same
+tolerance, not at machine precision, since the sweeps decide convergence.
+Both stages apply ``A^{-1}`` through one sparse factorization, and neither
+forms ``S``.
 
 Reference solves on fine P1 meshes factor no matrix of their own level, so
 their memory stays linear in the number of dofs.  LOBPCG (Knyazev, SIAM J.
@@ -191,7 +193,7 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _start_block(factor: SpdFactor, b_csr: sp.csr_matrix, k: int,
+def _start_block(factor: SpdFactor, b_csr: sp.csr_matrix, k: int, tol: float,
                  rng: np.random.Generator) -> np.ndarray:
     """Start block of the sweeps: ``A^{-1} B X``, ``X`` on the boundary dofs.
 
@@ -226,6 +228,13 @@ def _start_block(factor: SpdFactor, b_csr: sp.csr_matrix, k: int,
     sweeps form their ``A``-Gram matrix, which would otherwise square that
     spread and lose digits.
 
+    Lanczos stops once its Ritz pairs meet ``tol`` relative to their Ritz
+    values, not at machine precision, since the sweeps enforce ``tol`` on
+    the full pencil.  The harmonic extensions are solved one column at a
+    time into a C-ordered ``n x k`` block, so no block right-hand side is
+    held next to the result and the sweeps' sparse products need no copy of
+    a Fortran-ordered block.
+
     The start vector and any restart vector come from ``rng``, so the block
     is deterministic.  If Lanczos stops short, ``ConvergenceFailureError``
     carries the Ritz values it did converge.
@@ -253,14 +262,17 @@ def _start_block(factor: SpdFactor, b_csr: sp.csr_matrix, k: int,
     try:
         block = spla.eigsh(schur, k, M=b_bb, sigma=0.0, which="LM",
                            OPinv=spla.LinearOperator((nb, nb), matvec=schur_inv, dtype=float),
-                           v0=rng.standard_normal(nb), rng=rng)[1]
+                           v0=rng.standard_normal(nb), tol=tol, rng=rng)[1]
     except spla.ArpackNoConvergence as exc:
         eigenvalues = np.full(k, np.nan)
         eigenvalues[:exc.eigenvalues.size] = exc.eigenvalues
         raise ConvergenceFailureError(
             f"shift-invert Lanczos (ARPACK) stopped with {exc.eigenvalues.size} of {k} "
             f"eigenpairs converged", eigenvalues, np.full(k, np.inf)) from exc
-    return factor.solve(b_cols @ block)
+    z = np.empty((n, k))
+    for j in range(k):
+        z[:, j] = factor.solve(b_cols @ block[:, j])
+    return z
 
 
 def solve_pencil(pencil: Pencil, k: int, tol: float = DEFAULT_TOL,
@@ -268,13 +280,14 @@ def solve_pencil(pencil: Pencil, k: int, tol: float = DEFAULT_TOL,
     """Compute the ``k`` smallest eigenpairs of ``A u = lambda B u``.
 
     Lanczos on the boundary dofs, started from a fixed-seed Gaussian
-    vector, gives a block of ``k`` vectors; Rayleigh-Ritz sweeps of inverse subspace
-    iteration on that block then run until every requested pair reaches the
-    relative residual tolerance.  At least one sweep always runs, since raw
-    Lanczos vectors can miss a tolerance near round-off.  Sweeps after the
-    first apply ``A^{-1}`` as a factor solve plus one step of iterative
-    refinement, so they do not repeat the factor's own solve error.  Results
-    are deterministic for fixed inputs and seed.
+    vector and stopped at ``tol``, gives a block of ``k`` vectors;
+    Rayleigh-Ritz sweeps of inverse subspace iteration on that block then
+    run until every requested pair reaches the relative residual tolerance.
+    At least one sweep always runs, since raw Lanczos vectors can miss a
+    tolerance near round-off.  Sweeps after the first apply ``A^{-1}`` as a
+    factor solve plus one step of iterative refinement, so they do not
+    repeat the factor's own solve error.  Results are deterministic for
+    fixed inputs and seed.
 
     Raises
     ------
@@ -295,7 +308,7 @@ def solve_pencil(pencil: Pencil, k: int, tol: float = DEFAULT_TOL,
 
     # Passed without a name, so the sweeps can drop the start block after its last use.
     return _rayleigh_ritz_sweeps(a_csr, b_csr,
-                                 _start_block(factor, b_csr, k, np.random.default_rng(seed)),
+                                 _start_block(factor, b_csr, k, tol, np.random.default_rng(seed)),
                                  k, tol, _refined_inverse(factor, a_csr))
 
 
@@ -333,13 +346,15 @@ def _rayleigh_ritz_sweeps(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix, z: np.ndar
     the residual ``A u - lambda B u`` is formed on those rows only, and the
     squares of ``A u`` and of the residual overwrite ``A u`` in turn; the
     column norms are summed as ``np.linalg.norm`` sums them, so no bit
-    changes.  While ``a_inv`` runs, only ``B u`` is alive.  A caller that
-    passes ``z`` without keeping a name for it lets the first sweep free it.
+    changes.  The ``B``-Gram matrix is summed over the boundary rows too,
+    as ``z_bd^T (B_bb z_bd)``.  While ``a_inv`` runs, only ``B u`` is alive.
+    A caller that passes ``z`` without keeping a name for it lets the first
+    sweep free it.
     """
     eigenvalues = np.full(k, np.nan)
     residuals = np.full(k, np.inf)
     bd = np.flatnonzero(np.diff(b_csr.indptr))
-    b_rows = b_csr[bd]
+    b_bb = b_csr[bd][:, bd]
 
     for sweep in range(MAX_SWEEPS):
         if sweep:
@@ -359,7 +374,7 @@ def _rayleigh_ritz_sweeps(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix, z: np.ndar
         if w.shape[1] < k:
             raise ValueError(
                 f"pencil appears to have fewer than k={k} finite eigenvalues")
-        b_small = _sym(w.T @ (z.T @ (b_csr @ z)) @ w)
+        b_small = _sym(w.T @ (z[bd].T @ (b_bb @ z[bd])) @ w)
         mu, v = sla.eigh(b_small)
         mu = mu[::-1]
         v = v[:, ::-1]
@@ -371,7 +386,7 @@ def _rayleigh_ritz_sweeps(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix, z: np.ndar
         au = a_csr @ cand
         # Off the boundary rows the residual is A u; norm(x, axis=0) is
         # sqrt(add.reduce(x * x, axis=0)).
-        r_bd = au[bd] - (b_rows @ cand) * lam
+        r_bd = au[bd] - (b_bb @ cand[bd]) * lam
         np.square(au, out=au)
         scale = np.sqrt(np.add.reduce(au, axis=0))
         au[bd] = np.square(r_bd)

@@ -326,8 +326,9 @@ class TestSolvePencilFem:
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
     def test_factor_solve_work_bound(self, get_mesh, get_dofmap, monkeypatch):
-        # Lanczos plus the polishing sweep: about 53 solve columns here, where
-        # inverse iteration with a k + 3 block needed 506.
+        # Lanczos plus the polishing sweep: 43 solve columns here (35 Lanczos
+        # solves and the 8 start-block columns), where Lanczos converged to
+        # machine precision took 53 and inverse iteration with a k + 3 block 506.
         mesh, dm = get_mesh("slit", 32), get_dofmap("slit", 32, CR)
         pencil = Pencil(assemble_stiffness(mesh, dm), assemble_boundary_mass(mesh, dm))
         assert pencil.dimension == 3152
@@ -340,7 +341,40 @@ class TestSolvePencilFem:
         monkeypatch.setattr(SpdFactor, "solve", counted)
         sol = solve_pencil(pencil, 8)
         assert (sol.residual_norms <= DEFAULT_TOL).all()
-        assert 0 < sum(columns) <= 120
+        assert 0 < sum(columns) <= 45
+
+    @pytest.mark.parametrize("tol", (DEFAULT_TOL, 1e-8))
+    def test_lanczos_stops_at_the_solve_tolerance(self, get_pencil, monkeypatch, tol):
+        eigsh, tols = spla.eigsh, []
+
+        def recorded(*args, **kwargs):
+            tols.append(kwargs["tol"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", recorded)
+        pencil = get_pencil("lshape", 16, P1)
+        sol = solve_pencil(pencil, 4) if tol == DEFAULT_TOL else solve_pencil(pencil, 4, tol=tol)
+        assert tols == [tol]
+        assert (sol.residual_norms <= tol).all()
+
+    @pytest.mark.parametrize("tol", (DEFAULT_TOL, 1e-8))
+    @pytest.mark.parametrize("k", (2, 8))
+    @pytest.mark.parametrize("family", (P1, CR))
+    @pytest.mark.parametrize("kind", ("square", "lshape", "slit"))
+    def test_lanczos_at_tol_converges_in_the_first_sweep(self, get_pencil, monkeypatch,
+                                                          kind, family, k, tol):
+        # Sweeps after the first apply A^{-1}; here none runs.
+        def forbidden(factor, a_csr):
+            def a_inv(rhs):
+                raise AssertionError("a second sweep ran")
+
+            return a_inv
+
+        monkeypatch.setattr(eigen, "_refined_inverse", forbidden)
+        pencil = get_pencil(kind, 16, family)
+        sol = solve_pencil(pencil, k, tol=tol)
+        assert (sol.residual_norms <= tol).all()
+        assert sol.eigenvalues == pytest.approx(dense_oracle(pencil, k).eigenvalues, rel=10 * tol)
 
     @pytest.mark.parametrize("converged", (0, 2))
     def test_lanczos_no_convergence_raises(self, get_pencil, monkeypatch, converged):
@@ -770,7 +804,8 @@ class TestSweepsBitIdentity:
         """``solve_pencil`` with the oracle sweeps and :meth:`oracle_inverse`."""
         factor = factorize_spd(pencil.a)
         a_csr, b_csr = pencil.a.to_csr(), pencil.b.to_csr()
-        z = eigen._start_block(factor, b_csr, k, np.random.default_rng(eigen.DEFAULT_SEED))
+        z = eigen._start_block(factor, b_csr, k, DEFAULT_TOL,
+                               np.random.default_rng(eigen.DEFAULT_SEED))
         return reference_sweeps(a_csr, b_csr, z, k, DEFAULT_TOL,
                                 self.oracle_inverse(factor, a_csr, calls))
 
@@ -797,7 +832,7 @@ class TestSweepsBitIdentity:
             return result
 
         monkeypatch.setattr(spla, "eigsh", recorded)
-        got = eigen._start_block(factor, b_csr, k, np.random.default_rng(7))
+        got = eigen._start_block(factor, b_csr, k, DEFAULT_TOL, np.random.default_rng(7))
         if level == 4:
             assert not blocks
             nb = np.count_nonzero(np.diff(b_csr.indptr))
@@ -805,6 +840,7 @@ class TestSweepsBitIdentity:
             want = np.linalg.qr(padded_harmonic(factor, b_csr, gaussian))[0]
         else:
             want = padded_harmonic(factor, b_csr, blocks[0])
+            assert got.flags.c_contiguous
         assert bits(got) == bits(want)
 
     def test_many_refined_sweeps_match_oracle(self, get_pencil, monkeypatch):
@@ -894,7 +930,8 @@ class TestSweepsMemory:
             raise AssertionError("a second sweep ran")
 
         blocks = self.peak_blocks(
-            a_csr, b_csr, lambda: eigen._start_block(factor, b_csr, k, np.random.default_rng(1)),
+            a_csr, b_csr,
+            lambda: eigen._start_block(factor, b_csr, k, DEFAULT_TOL, np.random.default_rng(1)),
             k, forbidden)
         assert blocks <= 2.5
 
