@@ -21,7 +21,10 @@ Sci. Comput. 23, 2001), preconditioned by a geometric multigrid V-cycle and
 started from prolonged coarse eigenvectors, finds the dominant subspace;
 the same Rayleigh-Ritz sweeps then enforce the tolerance, applying
 ``A^{-1}`` by V-cycle-preconditioned conjugate gradients in place of the
-factor.
+factor.  The LOBPCG is written for this pencil: it stores its blocks as
+rows, so ``A`` and the V-cycle apply to one contiguous vector at a time,
+applies ``B`` on the boundary rows only, and holds no ``B``-image of a
+block.
 
 Both paths share one stopping rule: at most ``MAX_SWEEPS`` sweeps, twice
 what converging runs take, then :class:`ConvergenceFailureError`, which a
@@ -30,7 +33,6 @@ Lanczos run that stops short raises as well.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,6 +64,7 @@ MAX_SWEEPS = 4
 JACOBI_DAMPING = 0.8
 LOBPCG_MAXITER = 20
 PCG_RTOL = 1e-13
+SVQB_DROP = 1e-12
 DENSE_ORACLE_MAX_DIM = 3000
 
 
@@ -121,10 +124,8 @@ class SpdFactor:
     Uses SuperLU in symmetric mode with diagonal pivoting only.  Definiteness
     is certified before factoring when the matrix is strictly diagonally
     dominant with a positive diagonal (:func:`_diagonally_dominant`), as the
-    assembled stiffness matrices are: over the three domains, both families
-    and levels 2 to 512, with unit or affine coefficients, the smallest
-    relative margin is 8e-8.  Otherwise the factor's pivots certify it,
-    since an SPD matrix factors without row pivoting and with positive
+    assembled stiffness matrices are.  Otherwise the factor's pivots certify
+    it, since an SPD matrix factors without row pivoting and with positive
     pivots; reading them makes SuperLU build CSC copies of ``L`` and ``U``
     that live as long as the factor, so the cheap test comes first.
 
@@ -132,9 +133,7 @@ class SpdFactor:
     resident, workspace of about ``3w + ...`` words per row for panel width
     ``w`` (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl.
     20, 1999), and at the default width that transient, not the factor, is
-    the peak: on slit CR level 256 (n = 197,248) one factorization raises
-    the resident memory by about 108 MB at the default width and 51 MB at
-    width 1.  The fill is the same (4.24M), and the factorization is faster.
+    the peak.  The width changes neither the fill nor the solves.
     """
 
     def __init__(self, matrix: SymSparse):
@@ -447,20 +446,22 @@ def _multigrid_eigenpairs(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix,
                           tol: float) -> EigenSolution:
     """The ``k`` smallest eigenpairs of ``A u = lambda B u``, SPD ``A`` left unfactored.
 
-    LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) on ``B x = mu A x``,
-    preconditioned by a :class:`_VCycle` over ``prolongations`` and started
-    from the block ``start`` (at least ``k`` columns, typically prolonged
-    coarse eigenvectors), finds the dominant subspace.  LOBPCG iterates until
-    its slowest column converges, and each column costs about the same, so
+    LOBPCG on ``B x = mu A x`` (:func:`_lobpcg`), preconditioned by a
+    :class:`_VCycle` over ``prolongations`` and started from the block
+    ``start`` (at least ``k`` columns, typically prolonged coarse
+    eigenvectors), finds the dominant subspace.  LOBPCG iterates until its
+    slowest column converges, and each column costs about the same, so
     ``start`` should hold columns past the ``k`` wanted ones only as far as
     it takes to reach a gap after ``lambda_k`` (the reference solve reads
-    that width off a coarse spectrum).  LOBPCG bounds the
-    absolute residual ``|B x - mu A x|`` of ``A``-normalized columns, which
-    is about the relative residual times ``|B x|``, so its tolerance is
-    ``tol`` times the smallest ``|B x|`` of the start block.  The
-    Rayleigh-Ritz sweeps of :func:`solve_pencil` then enforce ``tol``,
-    applying ``A^{-1}`` by V-cycle-preconditioned conjugate gradients; they
-    iterate only while a residual exceeds ``tol``.
+    that width off a coarse spectrum).  LOBPCG bounds the absolute residual
+    ``|B x - mu A x|`` of ``A``-normalized columns, which is about the
+    relative residual times ``|B x|``, so its tolerance is ``tol`` times the
+    smallest ``|B x|`` of the start block.  It stops on the true residual,
+    so the accuracy it reports is the one the Rayleigh-Ritz sweeps of
+    :func:`solve_pencil` then measure; near round-off that residual stalls,
+    and LOBPCG may stop at ``LOBPCG_MAXITER`` above its tolerance.  The
+    sweeps enforce ``tol``, applying ``A^{-1}`` by V-cycle-preconditioned
+    conjugate gradients; they iterate only while a residual exceeds ``tol``.
 
     Raises
     ------
@@ -470,11 +471,7 @@ def _multigrid_eigenpairs(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix,
     vcycle = _VCycle(a_csr, prolongations)
     a_norms = np.sqrt(np.einsum("ij,ij->j", start, a_csr @ start))
     lobpcg_tol = tol * (np.linalg.norm(b_csr @ start, axis=0) / a_norms).min()
-    with warnings.catch_warnings():
-        # Stagnating above lobpcg_tol is expected near round-off; the sweeps decide.
-        warnings.filterwarnings("ignore", message="Exited", category=UserWarning)
-        _, x = spla.lobpcg(b_csr, start, B=a_csr, M=vcycle, tol=lobpcg_tol,
-                           maxiter=LOBPCG_MAXITER, largest=True)
+    x = _lobpcg(a_csr, b_csr, start, vcycle, lobpcg_tol)
     precond = spla.LinearOperator(a_csr.shape, matvec=vcycle, dtype=float)
 
     def a_inv(rhs: np.ndarray) -> np.ndarray:
@@ -483,6 +480,93 @@ def _multigrid_eigenpairs(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix,
                                 for col in rhs.T])
 
     return _rayleigh_ritz_sweeps(a_csr, b_csr, x, k, tol, a_inv)
+
+
+def _lobpcg(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix, start: np.ndarray,
+            precond: Callable[[np.ndarray], np.ndarray], tol: float) -> np.ndarray:
+    """The dominant eigenvectors of ``B x = mu A x`` by preconditioned LOBPCG.
+
+    LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) runs Rayleigh-Ritz on
+    ``span{X, W, P}``: the iterates ``X``, the preconditioned residuals
+    ``W = T (B X - A X mu)`` and the previous update directions ``P``.  The
+    blocks are the rows of C-contiguous ``(m, n)`` arrays, and ``A`` and
+    ``precond`` apply to one row at a time: a sparse product or a V-cycle
+    on an ``n x m`` block costs more per column than on one vector.  ``B``
+    is nonzero on the boundary rows only, so its Gram matrices are formed
+    there, as ``S_bd (B_bb S_bd^T)``, and no ``B``-image of a block is
+    kept.  ``A X`` and the ``A``-image of ``[W, P]`` are formed anew each
+    iteration, never updated by recurrence, so the stopping residual is the
+    true one: a recurrence drifts near round-off, and a block it passed
+    could fail the sweeps that follow.
+
+    As in Duersch, Shao, Yang & Gu (SIAM J. Sci. Comput. 40, 2018),
+    ``[W, P]`` is ``A``-orthogonalized against ``X`` and orthonormalized by
+    SVQB, the eigendecomposition of its diagonally scaled ``A``-Gram matrix,
+    dropping the directions below ``SVQB_DROP`` of its largest eigenvalue,
+    which carry no digits.  Only the small Gram matrices of that basis are
+    formed.  The start block goes through SVQB too, so a rank-deficient one
+    narrows the block instead of breaking a Cholesky factorization.  A
+    column whose residual meets ``tol`` leaves the active set (soft locking:
+    it stays in ``X`` but gets no more ``W`` or ``P`` rows).  The iteration
+    stops when every column has met ``tol``, or after ``LOBPCG_MAXITER``
+    iterations, and returns ``X`` as the columns of a C-ordered block,
+    descending in ``mu``.
+    """
+    bd = np.flatnonzero(np.diff(b_csr.indptr))
+    b_bb = b_csr[bd][:, bd]
+
+    def a_rows(s: np.ndarray) -> np.ndarray:
+        a_s = np.empty_like(s)
+        for i, row in enumerate(s):
+            a_s[i] = a_csr @ row
+        return a_s
+
+    def rayleigh_ritz(x: np.ndarray, a_x: np.ndarray, s: np.ndarray,
+                      width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # The top Ritz values on span{x, s} and their vectors' coefficients on
+        # the rows of x and of s.  s is A-orthogonalized against x in place,
+        # and only the Gram matrices of its SVQB basis t @ s are formed.
+        s -= (s @ a_x.T) @ x
+        a_s = a_rows(s)
+        gram = _sym(s @ a_s.T)
+        d = 1.0 / np.sqrt(gram.diagonal())
+        theta, v = sla.eigh(d[:, None] * gram * d)
+        keep = theta > SVQB_DROP * theta[-1]
+        t = (d[:, None] * v[:, keep] / np.sqrt(theta[keep])).T
+        cross = (x @ a_s.T) @ t.T
+        g_a = np.block([[x @ a_x.T, cross], [cross.T, t @ gram @ t.T]])
+        y_bd = np.vstack([x[:, bd], t @ s[:, bd]])
+        mu, c = sla.eigh(_sym(y_bd @ (b_bb @ y_bd.T)), _sym(g_a))
+        c = c[:, :-width - 1:-1]
+        return mu[:-width - 1:-1], c[:len(x)], t.T @ c[len(x):]
+
+    s = np.array(start.T, order="C")
+    x = np.empty((0, s.shape[1]))
+    mu, _, c_s = rayleigh_ritz(x, x, s, s.shape[0])
+    x = c_s.T @ s
+    width = x.shape[0]
+    active = np.ones(width, dtype=bool)
+    p = None
+    for _ in range(LOBPCG_MAXITER):
+        a_x = a_rows(x)
+        r = a_x * -mu[:, None]
+        r[:, bd] += (b_bb @ x[:, bd].T).T
+        active &= np.sqrt(np.einsum("ij,ij->i", r, r)) > tol
+        if not active.any():
+            break
+        n_w = active.sum()
+        s = np.empty((n_w if p is None else 2 * n_w, x.shape[1]))
+        for i, row in enumerate(r[active]):
+            s[i] = precond(row)
+        if p is not None:
+            s[n_w:] = p[active]
+        del r, p
+        mu, c_x, c_s = rayleigh_ritz(x, a_x, s, width)
+        del a_x
+        p = c_s.T @ s
+        del s
+        x = c_x.T @ x + p
+    return np.ascontiguousarray(x.T)
 
 
 def dense_oracle(pencil: Pencil, k: int) -> EigenSolution:

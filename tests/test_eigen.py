@@ -608,15 +608,32 @@ class TestMultigridReference:
         # square, so LOBPCG needs no spare column.  The square's lambda_2 and
         # lambda_3 nearly coincide and its lambda_4 / lambda_3 is 1.40, so the
         # block runs on to the gap after lambda_4.
-        lobpcg, widths = spla.lobpcg, []
+        lobpcg, widths = eigen._lobpcg, []
 
-        def recorded(a, x, *args, **kwargs):
-            widths.append(x.shape[1])
-            return lobpcg(a, x, *args, **kwargs)
+        def recorded(a_csr, b_csr, start, *args):
+            widths.append(start.shape[1])
+            return lobpcg(a_csr, b_csr, start, *args)
 
-        monkeypatch.setattr(spla, "lobpcg", recorded)
+        monkeypatch.setattr(eigen, "_lobpcg", recorded)
         compute_reference(DomainSpec(kind), 64)
         assert widths == [width]
+
+    def test_lobpcg_block_passes_the_first_sweep(self, monkeypatch):
+        # LOBPCG stops on its true residual, so its block needs no PCG sweep.
+        # L-shape 512 eig_index 4 needed 7 PCG calls when A P was carried by
+        # recurrence instead; every level-128 case passed that way too.
+        cg, calls = spla.cg, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return cg(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "cg", counted)
+        cases = [(kind, 128, eig_index) for kind in ("square", "lshape", "slit")
+                 for eig_index in range(1, 7)] + [("lshape", 512, 4)]
+        for kind, level, eig_index in cases:
+            compute_reference(DomainSpec(kind), level, eig_index)
+            assert not calls, (kind, level, eig_index)
 
     def test_no_factor_of_the_reference_dimension(self, monkeypatch):
         # Also, no factor outlives the solve without the cyclic collector.
@@ -649,6 +666,37 @@ class TestMultigridReference:
                                         tol=1e-300)
         assert excinfo.value.eigenvalues.shape == (2,)
         assert (excinfo.value.residuals > 1e-300).all()
+
+
+class TestLobpcg:
+    """The LOBPCG of the multigrid reference, on slit P1 level 16 with its V-cycle."""
+
+    @pytest.fixture(scope="class")
+    def problem(self, get_mesh, get_pencil):
+        p = analysis._prolongation(get_mesh("slit", 8), get_mesh("slit", 16))
+        start = p @ solve_pencil(get_pencil("slit", 8, P1), 3).eigenvectors
+        pencil = get_pencil("slit", 16, P1)
+        a_csr, b_csr = pencil.a.to_csr(), pencil.b.to_csr()
+        return pencil, a_csr, b_csr, [p], eigen._VCycle(a_csr, [p]), start
+
+    def test_matches_dense_oracle(self, problem):
+        pencil, a_csr, b_csr, _, vcycle, start = problem
+        x = eigen._lobpcg(a_csr, b_csr, start, vcycle, 1e-12)
+        assert x.shape == start.shape
+        gram = x.T @ (a_csr @ x)
+        assert np.abs(gram - np.eye(3)).max() <= 1e-12
+        lam = np.diag(gram) / np.einsum("ij,ij->j", x, b_csr @ x)
+        assert lam == pytest.approx(dense_oracle(pencil, 3).eigenvalues, rel=1e-10)
+
+    def test_repeated_start_column(self, problem):
+        # SVQB drops the repeated direction; the Ritz block narrows to two
+        # columns, and the sweeps decide the pairs.
+        pencil, a_csr, b_csr, prolongations, vcycle, start = problem
+        start = start[:, [0, 1, 1]]
+        assert eigen._lobpcg(a_csr, b_csr, start, vcycle, 1e-12).shape == (len(start), 2)
+        sol = eigen._multigrid_eigenpairs(a_csr, b_csr, prolongations, start, 2, DEFAULT_TOL)
+        assert (sol.residual_norms <= DEFAULT_TOL).all()
+        assert sol.eigenvalues == pytest.approx(dense_oracle(pencil, 2).eigenvalues, rel=1e-10)
 
 
 class TestVCycle:
