@@ -326,9 +326,7 @@ def _solve_reference(mesh: Mesh, coeff: CoefficientField, k: int, tol: float,
     if len(levels) == 1:
         return _solve_level(mesh, P1, coeff, k, tol, seed)
     dofmap = build_dof_map(mesh, P1)
-    # Only the full CSR forms are kept: each SymSparse and its upper triangle is freed here.
-    a_csr = assemble_stiffness(mesh, dofmap, coeff).to_csr()
-    b_csr = assemble_boundary_mass(mesh, dofmap).to_csr()
+    pencil = Pencil(assemble_stiffness(mesh, dofmap, coeff), assemble_boundary_mass(mesh, dofmap))
     meshes = [mesh] + [generate_mesh(mesh.domain, lvl) for lvl in levels[1:]]
     prolongations = [_prolongation(coarse, fine) for fine, coarse in zip(meshes, meshes[1:])]
     target = mesh.level / MULTIGRID_START_RATIO
@@ -339,7 +337,7 @@ def _solve_reference(mesh: Mesh, coeff: CoefficientField, k: int, tol: float,
     del meshes, coarse
     for p in reversed(prolongations[:start_index]):
         start = p @ start
-    return dofmap, _multigrid_eigenpairs(a_csr, b_csr, prolongations, start, k, tol)
+    return dofmap, _multigrid_eigenpairs(pencil, prolongations, start, k, tol)
 
 
 def _check_eig_index(eig_index: int) -> None:

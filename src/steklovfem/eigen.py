@@ -85,24 +85,31 @@ class ConvergenceFailureError(Exception):
         self.residuals = residuals
 
 
-@dataclass
 class Pencil:
-    """The matrix pair of a generalized eigenproblem ``A u = lambda B u``."""
+    """The matrix pair of a generalized eigenproblem ``A u = lambda B u``.
 
-    a: SymSparse
-    b: SymSparse
+    Built from the assembled :class:`SymSparse` matrices, it keeps only what
+    the solvers read: ``a`` and ``b`` as full symmetric CSR matrices, each
+    converted once, the ``boundary`` rows (those of ``B`` that hold entries,
+    ascending) and ``b_bb``, the block of ``B`` on them.  Every stored column
+    of ``B`` lies in ``boundary`` too, so ``B`` vanishes outside that block.
+    No reference to the arguments is kept, so their upper triangles are
+    freed once the caller drops them.
+    """
 
-    def __post_init__(self) -> None:
-        if self.a.dimension != self.b.dimension:
-            raise ValueError(
-                f"pencil matrices disagree in size: {self.a.dimension} vs {self.b.dimension}"
-            )
-        if self.b.nnz == 0:
+    def __init__(self, a: SymSparse, b: SymSparse):
+        if a.dimension != b.dimension:
+            raise ValueError(f"pencil matrices disagree in size: {a.dimension} vs {b.dimension}")
+        if b.nnz == 0:
             raise ValueError("the right-hand matrix of the pencil is zero")
+        self.a = a.to_csr()
+        self.b = b.to_csr()
+        self.boundary = np.flatnonzero(np.diff(self.b.indptr))
+        self.b_bb = self.b[self.boundary][:, self.boundary]
 
     @property
     def dimension(self) -> int:
-        return self.a.dimension
+        return self.a.shape[0]
 
 
 @dataclass
@@ -119,7 +126,7 @@ class EigenSolution:
 
 
 class SpdFactor:
-    """A sparse Cholesky-type factorization of an SPD matrix.
+    """A sparse Cholesky-type factorization of an SPD matrix, given in full CSR form.
 
     Uses SuperLU in symmetric mode with diagonal pivoting only.  Definiteness
     is certified before factoring when the matrix is strictly diagonally
@@ -136,12 +143,11 @@ class SpdFactor:
     the peak.  The width changes neither the fill nor the solves.
     """
 
-    def __init__(self, matrix: SymSparse):
-        csr = matrix.to_csr()
-        dominant = _diagonally_dominant(csr)
+    def __init__(self, matrix: sp.csr_matrix):
+        dominant = _diagonally_dominant(matrix)
         # A symmetric CSR matrix's transpose is its CSC form, sharing the arrays.
         try:
-            lu = spla.splu(csr.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            lu = spla.splu(matrix.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                            panel_size=1, options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # exactly singular
             raise NotPositiveDefiniteError(str(exc)) from exc
@@ -183,8 +189,8 @@ def _diagonally_dominant(csr: sp.csr_matrix) -> bool:
     return bool((diag > 0.0).all() and (diag - off > guard).all())
 
 
-def factorize_spd(matrix: SymSparse) -> SpdFactor:
-    """Factor an SPD matrix."""
+def factorize_spd(matrix: sp.csr_matrix) -> SpdFactor:
+    """Factor an SPD matrix given as a full symmetric CSR matrix."""
     return SpdFactor(matrix)
 
 
@@ -192,15 +198,15 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _start_block(factor: SpdFactor, b_csr: sp.csr_matrix, k: int, tol: float,
+def _start_block(factor: SpdFactor, pencil: Pencil, k: int, tol: float,
                  rng: np.random.Generator) -> np.ndarray:
     """Start block of the sweeps: ``A^{-1} B X``, ``X`` on the boundary dofs.
 
     ``X`` holds ``k`` dominant eigenvectors of ``A^{-1} B`` from Lanczos, or
     a full Gaussian block on small boundaries.
 
-    The ``nb`` boundary dofs are the rows of ``B`` that hold entries.  With
-    ``R`` the restriction to them, ``S^{-1} = R A^{-1} R^T`` applies through
+    The ``nb`` boundary dofs are the pencil's ``boundary`` rows.  With ``R``
+    the restriction to them, ``S^{-1} = R A^{-1} R^T`` applies through
     ``factor.solve`` on a scattered vector.  Lanczos runs in ARPACK's
     shift-invert mode (mode 3, shift 0) on ``S x = lambda B_bb x``: it applies
     ``S^{-1}`` and ``B_bb``, never ``S`` or ``A``, orthogonalizes vectors of
@@ -238,13 +244,12 @@ def _start_block(factor: SpdFactor, b_csr: sp.csr_matrix, k: int, tol: float,
     is deterministic.  If Lanczos stops short, ``ConvergenceFailureError``
     carries the Ritz values it did converge.
     """
-    n = b_csr.shape[0]
-    bd = np.flatnonzero(np.diff(b_csr.indptr))
+    n, bd = pencil.dimension, pencil.boundary
     nb = bd.size
 
     # Every stored column of B lies in bd, in order, so B[:, bd] @ block sums
     # the same products as B @ (block zero-padded to n rows), without the padding.
-    b_cols = b_csr[:, bd]
+    b_cols = pencil.b[:, bd]
 
     if nb <= 3 * (2 * k + 1):
         return np.linalg.qr(factor.solve(b_cols @ rng.standard_normal((nb, nb))))[0]
@@ -254,8 +259,7 @@ def _start_block(factor: SpdFactor, b_csr: sp.csr_matrix, k: int, tol: float,
         x[bd] = r
         return factor.solve(x)[bd]
 
-    b_bb = b_csr[bd][:, bd]
-    b_bb = b_bb + sp.diags(np.finfo(float).eps * b_bb.diagonal())
+    b_bb = pencil.b_bb + sp.diags(np.finfo(float).eps * pencil.b_bb.diagonal())
     # Mode 3 never applies S: it reads only the shape of its first argument.
     schur = spla.LinearOperator((nb, nb), matvec=None, dtype=float)
     try:
@@ -302,13 +306,11 @@ def solve_pencil(pencil: Pencil, k: int, tol: float = DEFAULT_TOL,
     if not 0.0 < tol <= 1e-6:
         raise ValueError(f"tol must lie in (0, 1e-6], got {tol!r}")
     factor = factorize_spd(pencil.a)
-    a_csr = pencil.a.to_csr()
-    b_csr = pencil.b.to_csr()
 
     # Passed without a name, so the sweeps can drop the start block after its last use.
-    return _rayleigh_ritz_sweeps(a_csr, b_csr,
-                                 _start_block(factor, b_csr, k, tol, np.random.default_rng(seed)),
-                                 k, tol, _refined_inverse(factor, a_csr))
+    return _rayleigh_ritz_sweeps(pencil,
+                                 _start_block(factor, pencil, k, tol, np.random.default_rng(seed)),
+                                 k, tol, _refined_inverse(factor, pencil.a))
 
 
 def _refined_inverse(factor: SpdFactor,
@@ -329,8 +331,8 @@ def _refined_inverse(factor: SpdFactor,
     return a_inv
 
 
-def _rayleigh_ritz_sweeps(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix, z: np.ndarray, k: int,
-                          tol: float, a_inv: Callable[[np.ndarray], np.ndarray]) -> EigenSolution:
+def _rayleigh_ritz_sweeps(pencil: Pencil, z: np.ndarray, k: int, tol: float,
+                          a_inv: Callable[[np.ndarray], np.ndarray]) -> EigenSolution:
     """Rayleigh-Ritz on ``span(z)``, then inverse subspace iteration until converged.
 
     Each sweep after the first replaces the block by ``a_inv(B u)``, where
@@ -346,18 +348,18 @@ def _rayleigh_ritz_sweeps(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix, z: np.ndar
     squares of ``A u`` and of the residual overwrite ``A u`` in turn; the
     column norms are summed as ``np.linalg.norm`` sums them, so no bit
     changes.  The ``B``-Gram matrix is summed over the boundary rows too,
-    as ``z_bd^T (B_bb z_bd)``.  While ``a_inv`` runs, only ``B u`` is alive.
+    as ``z_bd^T (B_bb z_bd)`` with the pencil's ``b_bb``, so the first sweep
+    never applies the full ``B``.  While ``a_inv`` runs, only ``B u`` is alive.
     A caller that passes ``z`` without keeping a name for it lets the first
     sweep free it.
     """
     eigenvalues = np.full(k, np.nan)
     residuals = np.full(k, np.inf)
-    bd = np.flatnonzero(np.diff(b_csr.indptr))
-    b_bb = b_csr[bd][:, bd]
+    a_csr, bd, b_bb = pencil.a, pencil.boundary, pencil.b_bb
 
     for sweep in range(MAX_SWEEPS):
         if sweep:
-            bx = b_csr @ x
+            bx = pencil.b @ x
             del x
             z = a_inv(bx)
             del bx
@@ -424,7 +426,7 @@ class _VCycle:
             a_csr = (p.T.tocsr() @ a_csr @ p).tocsr()
         upper = sp.triu(a_csr, format="csr")
         upper.eliminate_zeros()
-        self.coarse = factorize_spd(SymSparse(a_csr.shape[0], upper))
+        self.coarse = factorize_spd(SymSparse(a_csr.shape[0], upper).to_csr())
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         shape = r.shape
@@ -441,9 +443,8 @@ class _VCycle:
         return x.reshape(shape)
 
 
-def _multigrid_eigenpairs(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix,
-                          prolongations: list[sp.csr_matrix], start: np.ndarray, k: int,
-                          tol: float) -> EigenSolution:
+def _multigrid_eigenpairs(pencil: Pencil, prolongations: list[sp.csr_matrix],
+                          start: np.ndarray, k: int, tol: float) -> EigenSolution:
     """The ``k`` smallest eigenpairs of ``A u = lambda B u``, SPD ``A`` left unfactored.
 
     LOBPCG on ``B x = mu A x`` (:func:`_lobpcg`), preconditioned by a
@@ -456,7 +457,8 @@ def _multigrid_eigenpairs(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix,
     that width off a coarse spectrum).  LOBPCG bounds the absolute residual
     ``|B x - mu A x|`` of ``A``-normalized columns, which is about the
     relative residual times ``|B x|``, so its tolerance is ``tol`` times the
-    smallest ``|B x|`` of the start block.  It stops on the true residual,
+    smallest ``|B x|`` of the start block, taken on the boundary rows, off
+    which ``B x`` vanishes, as ``|B_bb x_bd|``.  It stops on the true residual,
     so the accuracy it reports is the one the Rayleigh-Ritz sweeps of
     :func:`solve_pencil` then measure; near round-off that residual stalls,
     and LOBPCG may stop at ``LOBPCG_MAXITER`` above its tolerance.  The
@@ -468,10 +470,11 @@ def _multigrid_eigenpairs(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix,
     ConvergenceFailureError
         If the residuals do not reach ``tol`` within ``MAX_SWEEPS`` sweeps.
     """
+    a_csr = pencil.a
     vcycle = _VCycle(a_csr, prolongations)
     a_norms = np.sqrt(np.einsum("ij,ij->j", start, a_csr @ start))
-    lobpcg_tol = tol * (np.linalg.norm(b_csr @ start, axis=0) / a_norms).min()
-    x = _lobpcg(a_csr, b_csr, start, vcycle, lobpcg_tol)
+    b_norms = np.linalg.norm(pencil.b_bb @ start[pencil.boundary], axis=0)
+    x = _lobpcg(pencil, start, vcycle, tol * (b_norms / a_norms).min())
     precond = spla.LinearOperator(a_csr.shape, matvec=vcycle, dtype=float)
 
     def a_inv(rhs: np.ndarray) -> np.ndarray:
@@ -479,11 +482,11 @@ def _multigrid_eigenpairs(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix,
         return np.column_stack([spla.cg(a_csr, col, rtol=PCG_RTOL, M=precond)[0]
                                 for col in rhs.T])
 
-    return _rayleigh_ritz_sweeps(a_csr, b_csr, x, k, tol, a_inv)
+    return _rayleigh_ritz_sweeps(pencil, x, k, tol, a_inv)
 
 
-def _lobpcg(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix, start: np.ndarray,
-            precond: Callable[[np.ndarray], np.ndarray], tol: float) -> np.ndarray:
+def _lobpcg(pencil: Pencil, start: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
+            tol: float) -> np.ndarray:
     """The dominant eigenvectors of ``B x = mu A x`` by preconditioned LOBPCG.
 
     LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) runs Rayleigh-Ritz on
@@ -492,9 +495,9 @@ def _lobpcg(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix, start: np.ndarray,
     blocks are the rows of C-contiguous ``(m, n)`` arrays, and ``A`` and
     ``precond`` apply to one row at a time: a sparse product or a V-cycle
     on an ``n x m`` block costs more per column than on one vector.  ``B``
-    is nonzero on the boundary rows only, so its Gram matrices are formed
-    there, as ``S_bd (B_bb S_bd^T)``, and no ``B``-image of a block is
-    kept.  ``A X`` and the ``A``-image of ``[W, P]`` are formed anew each
+    is nonzero on the pencil's boundary rows only, so its Gram matrices are
+    formed there, as ``S_bd (B_bb S_bd^T)``, and no ``B``-image of a block
+    is kept.  ``A X`` and the ``A``-image of ``[W, P]`` are formed anew each
     iteration, never updated by recurrence, so the stopping residual is the
     true one: a recurrence drifts near round-off, and a block it passed
     could fail the sweeps that follow.
@@ -512,8 +515,7 @@ def _lobpcg(a_csr: sp.csr_matrix, b_csr: sp.csr_matrix, start: np.ndarray,
     iterations, and returns ``X`` as the columns of a C-ordered block,
     descending in ``mu``.
     """
-    bd = np.flatnonzero(np.diff(b_csr.indptr))
-    b_bb = b_csr[bd][:, bd]
+    a_csr, bd, b_bb = pencil.a, pencil.boundary, pencil.b_bb
 
     def a_rows(s: np.ndarray) -> np.ndarray:
         a_s = np.empty_like(s)
@@ -580,8 +582,8 @@ def dense_oracle(pencil: Pencil, k: int) -> EigenSolution:
         raise ValueError(f"dense oracle limited to dimension {DENSE_ORACLE_MAX_DIM}, got {n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}, got {k}")
-    a = pencil.a.to_dense()
-    b = pencil.b.to_dense()
+    a = pencil.a.toarray()
+    b = pencil.b.toarray()
     try:
         mu, y = sla.eigh(b, a, subset_by_index=[n - k, n - 1])
     except np.linalg.LinAlgError as exc:

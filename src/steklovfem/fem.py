@@ -204,30 +204,14 @@ class SymSparse:
 
     ``upper`` is canonical: entries have ``row <= col``, column indices are
     sorted within each row, duplicates are summed and exact zeros dropped, so
-    equal matrices have identical storage.  The full symmetric CSR matrix is
-    built on the first :meth:`to_csr` call and cached.
+    equal matrices have identical storage.  This is the form assembly
+    returns and :func:`write_matrix` dumps; solvers take the full symmetric
+    CSR matrix, built on the first :meth:`to_csr` call and cached.
     """
 
     dimension: int
     upper: sp.csr_matrix
     _csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def from_entries(cls, dimension: int, rows, cols, values) -> "SymSparse":
-        """Build from COO triplets; each unordered index pair is summed.
-
-        Callers must list each unordered off-diagonal pair once per
-        contribution (canonicalization folds ``(i, j)`` and ``(j, i)``
-        together, it does not halve them).
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        # Pairs formed inline, so they are freed once coo_matrix has copied them;
-        # csr_matrix on the triplets would hold both through the conversion.
-        coo = sp.coo_matrix((np.asarray(values, dtype=float),
-                             (np.minimum(rows, cols), np.maximum(rows, cols))),
-                            shape=(dimension, dimension))
-        return cls(dimension=dimension, upper=_canonical(coo))
 
     @property
     def nnz(self) -> int:
@@ -238,12 +222,6 @@ class SymSparse:
         if self._csr is None:
             self._csr = (self.upper + sp.triu(self.upper, k=1).T).tocsr()
         return self._csr
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_csr().toarray()
-
-    def __matmul__(self, other: np.ndarray) -> np.ndarray:
-        return self.to_csr() @ other
 
 
 def write_matrix(matrix: SymSparse, stream) -> None:

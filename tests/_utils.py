@@ -10,11 +10,28 @@ import math
 import tracemalloc
 
 import numpy as np
+import scipy.sparse as sp
 
-from steklovfem import DomainSpec
+from steklovfem import DomainSpec, SymSparse
 from steklovfem.mesh import Mesh
 
 GAUSS2 = ((0.5 - 0.5 / math.sqrt(3.0), 0.5), (0.5 + 0.5 / math.sqrt(3.0), 0.5))
+
+
+def sym_sparse(dimension, rows, cols, values):
+    """A :class:`SymSparse` from COO triplets, each unordered index pair summed.
+
+    The upper triangle is built with scipy alone: COO to CSR sums duplicates
+    and sorts the columns, ``eliminate_zeros`` drops exact zeros.  Callers
+    list each unordered off-diagonal pair once per contribution.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    upper = sp.coo_matrix((np.asarray(values, dtype=float),
+                           (np.minimum(rows, cols), np.maximum(rows, cols))),
+                          shape=(dimension, dimension)).tocsr()
+    upper.eliminate_zeros()
+    return SymSparse(dimension, upper)
 
 
 def reference_triangle_mesh(boundary_local_edges=(2, 0, 1)):

@@ -218,7 +218,7 @@ def test_criterion_6_matrix_invariants(get_mesh, get_dofmap, acceptance_report):
         mesh = generate_mesh(DomainSpec(kind), level)
         dofmap = build_dof_map(mesh, family)
         try:
-            factorize_spd(assemble_stiffness(mesh, dofmap))
+            factorize_spd(assemble_stiffness(mesh, dofmap).to_csr())
         except NotPositiveDefiniteError:
             chol_failures.append((kind, family, level))
 
@@ -229,7 +229,7 @@ def test_criterion_6_matrix_invariants(get_mesh, get_dofmap, acceptance_report):
         for family in (P1, CR):
             dofmap = get_dofmap(kind, 8, family)
             b = assemble_boundary_mass(mesh, dofmap)
-            rank = np.linalg.matrix_rank(b.to_dense())
+            rank = np.linalg.matrix_rank(b.to_csr().toarray())
             if family == P1:
                 predicted = len(dofmap.boundary_dofs)
             else:
@@ -237,7 +237,7 @@ def test_criterion_6_matrix_invariants(get_mesh, get_dofmap, acceptance_report):
             if rank != predicted:
                 rank_failures.append((kind, family, rank, predicted))
             ones = np.ones(b.dimension)
-            gap = abs(float(ones @ (b @ ones)) - PERIMETERS[kind])
+            gap = abs(float(ones @ (b.to_csr() @ ones)) - PERIMETERS[kind])
             worst_perimeter = max(worst_perimeter, gap)
 
     ok = not chol_failures and not rank_failures and worst_perimeter <= 1e-12

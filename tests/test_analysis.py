@@ -80,7 +80,7 @@ def zero_fe(mesh):
 
 def stiffness_norm(fn):
     """The broken H1 norm, as the quadratic form of the unit-coefficient stiffness."""
-    a = assemble_stiffness(fn.mesh, fn.dofmap)
+    a = assemble_stiffness(fn.mesh, fn.dofmap).to_csr()
     return math.sqrt(fn.values @ (a @ fn.values))
 
 

@@ -1,3 +1,4 @@
+import copy
 import gc
 import tracemalloc
 import weakref
@@ -32,30 +33,50 @@ from steklovfem import (
 from steklovfem import analysis, eigen
 from steklovfem.eigen import DEFAULT_TOL, DENSE_ORACLE_MAX_DIM, SpdFactor
 
+from _utils import sym_sparse
+
 
 COEFFICIENTS = {"unit": UNIT_COEFFICIENTS,
                 "affine": CoefficientField(alpha=affine(1.0, 0.5, 0.25),
                                            beta=affine(2.0, -0.5, 0.5))}
 
 
+class NoProducts:
+    """A sparse matrix that can be sliced but not applied: any product with it raises."""
+
+    __array_ufunc__ = None  # ndarray @ NoProducts defers to __rmatmul__
+
+    def __init__(self, matrix):
+        self._matrix = matrix
+
+    def __getitem__(self, key):
+        return self._matrix[key]
+
+    def __matmul__(self, other):
+        raise AssertionError("B applied to an n-row operand")
+
+    __rmatmul__ = __matmul__
+
+
 def diag_sparse(values):
     values = np.asarray(values, dtype=float)
     idx = np.arange(len(values))
-    return SymSparse.from_entries(len(values), idx, idx, values)
+    return sym_sparse(len(values), idx, idx, values)
 
 
 def dense_spd_sparse(a):
     rows, cols = np.triu_indices(a.shape[0])
-    return SymSparse.from_entries(a.shape[0], rows, cols, a[rows, cols])
+    return sym_sparse(a.shape[0], rows, cols, a[rows, cols])
 
 
 class TestSolveSpd:
     def test_scalar(self):
-        assert factorize_spd(diag_sparse([4.0])).solve(np.array([8.0])) == pytest.approx([2.0])
+        assert (factorize_spd(diag_sparse([4.0]).to_csr()).solve(np.array([8.0]))
+                == pytest.approx([2.0]))
 
     def test_round_trip_on_stiffness(self, get_pencil):
         a = get_pencil("lshape", 8, P1).a
-        ones = np.ones(a.dimension)
+        ones = np.ones(a.shape[0])
         x = factorize_spd(a).solve(a @ ones)
         assert x == pytest.approx(ones, abs=1e-12)
 
@@ -64,7 +85,7 @@ class TestSolveSpd:
         m = rng.standard_normal((10, 10))
         a = m.T @ m + np.eye(10)
         rhs = rng.standard_normal(10)
-        x = factorize_spd(dense_spd_sparse(a)).solve(rhs)
+        x = factorize_spd(dense_spd_sparse(a).to_csr()).solve(rhs)
         assert np.linalg.norm(a @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     @pytest.mark.parametrize("family", (P1, CR))
@@ -73,7 +94,7 @@ class TestSolveSpd:
         a = assemble_stiffness(get_mesh("slit", 8), get_dofmap("slit", 8, family))
         csr = a.to_csr()
         before = [arr.copy() for arr in (csr.indptr, csr.indices, csr.data)]
-        factorize_spd(a)
+        factorize_spd(a.to_csr())
         assert a.to_csr() is csr
         for got, want in zip((csr.indptr, csr.indices, csr.data), before):
             assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -101,11 +122,11 @@ class TestSolveSpd:
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
-            factorize_spd(diag_sparse([1.0, -1.0]))
+            factorize_spd(diag_sparse([1.0, -1.0]).to_csr())
 
     def test_semidefinite_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
-            factorize_spd(SymSparse.from_entries(2, [0], [0], [1.0]))
+            factorize_spd(sym_sparse(2, [0], [0], [1.0]).to_csr())
 
 
 class RecordingLU:
@@ -155,21 +176,21 @@ class TestDefinitenessCertificate:
     def test_positive_definite_without_dominance(self, lu_reads):
         a = np.full((3, 3), 0.9) + 0.1 * np.eye(3)
         rhs = np.array([1.0, 2.0, 3.0])
-        x = factorize_spd(dense_spd_sparse(a)).solve(rhs)
+        x = factorize_spd(dense_spd_sparse(a).to_csr()).solve(rhs)
         assert lu_reads == [["U"]]
         assert np.linalg.norm(a @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_indefinite_with_positive_diagonal(self, lu_reads):
         with pytest.raises(NotPositiveDefiniteError):
-            factorize_spd(dense_spd_sparse(np.array([[1.0, 2.0], [2.0, 1.0]])))
+            factorize_spd(dense_spd_sparse(np.array([[1.0, 2.0], [2.0, 1.0]])).to_csr())
         assert lu_reads == [["U"]]
 
     @pytest.mark.parametrize("coupling, definite", ((np.nextafter(1.0, 0.0), True),
                                                     (np.nextafter(1.0, 2.0), False)))
     def test_margin_below_rounding_guard(self, lu_reads, coupling, definite):
         # Margins of +eps/2 and -eps: the certificate cannot decide, the pivots do.
-        a = SymSparse.from_entries(2, [0, 1, 0], [0, 1, 1], [1.0, 1.0, -coupling])
-        assert not eigen._diagonally_dominant(a.to_csr())
+        a = sym_sparse(2, [0, 1, 0], [0, 1, 1], [1.0, 1.0, -coupling]).to_csr()
+        assert not eigen._diagonally_dominant(a)
         if definite:
             factorize_spd(a)
         else:
@@ -181,8 +202,8 @@ class TestDefinitenessCertificate:
     def test_empty_row(self, missing):
         # np.add.reduceat would misread an empty row, and fail on a trailing one.
         kept = [i for i in range(3) if i != missing]
-        a = SymSparse.from_entries(3, kept, kept, [1.0, 1.0])
-        assert not eigen._diagonally_dominant(a.to_csr())
+        a = sym_sparse(3, kept, kept, [1.0, 1.0]).to_csr()
+        assert not eigen._diagonally_dominant(a)
         with pytest.raises(NotPositiveDefiniteError):
             factorize_spd(a)
 
@@ -209,10 +230,10 @@ class TestFactorSettings:
     def test_same_fill_and_solves_as_the_default_panel(self, get_pencil, kind, family):
         a = get_pencil(kind, 32, family).a
         lean = factorize_spd(a)._lu
-        default = spla.splu(a.to_csr().T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        default = spla.splu(a.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                             options=dict(SymmetricMode=True))
         assert lean.nnz == default.nnz
-        rhs = np.random.default_rng(5).standard_normal((a.dimension, 4))
+        rhs = np.random.default_rng(5).standard_normal((a.shape[0], 4))
         got, want = lean.solve(rhs), default.solve(rhs)
         assert (np.linalg.norm(got - want, axis=0) <= 1e-10 * np.linalg.norm(want, axis=0)).all()
 
@@ -220,7 +241,7 @@ class TestFactorSettings:
 class TestSolvePencilSmall:
     def test_two_by_two_example(self):
         pencil = Pencil(diag_sparse([2.0, 3.0]),
-                        SymSparse.from_entries(2, [0], [0], [1.0]))
+                        sym_sparse(2, [0], [0], [1.0]))
         sol = solve_pencil(pencil, 1)
         assert sol.eigenvalues == pytest.approx([2.0])
         assert abs(sol.eigenvectors[0, 0]) == pytest.approx(1.0)
@@ -238,7 +259,23 @@ class TestSolvePencilSmall:
 
     def test_pencil_zero_b(self):
         with pytest.raises(ValueError, match="zero"):
-            Pencil(diag_sparse([1.0, 2.0]), SymSparse.from_entries(2, [], [], []))
+            Pencil(diag_sparse([1.0, 2.0]), sym_sparse(2, [], [], []))
+
+    def test_pencil_frees_its_inputs(self):
+        # The pencil keeps the full CSR forms only, so the upper triangles go
+        # back without the cyclic collector.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            a, b = diag_sparse([1.0, 2.0]), diag_sparse([1.0, 1.0])
+            inputs = [weakref.ref(a), weakref.ref(b)]
+            pencil = Pencil(a, b)
+            del a, b
+            assert all(ref() is None for ref in inputs)
+            assert pencil.dimension == 2
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("k", (0, 3))
     def test_k_out_of_range(self, k):
@@ -376,6 +413,21 @@ class TestSolvePencilFem:
         assert (sol.residual_norms <= tol).all()
         assert sol.eigenvalues == pytest.approx(dense_oracle(pencil, k).eigenvalues, rel=10 * tol)
 
+    @pytest.mark.parametrize("k", (2, 8))
+    @pytest.mark.parametrize("family", (P1, CR))
+    @pytest.mark.parametrize("kind", ("square", "lshape", "slit"))
+    def test_first_sweep_takes_the_b_gram_on_the_boundary_rows(self, get_pencil, kind,
+                                                                family, k):
+        # These start blocks converge in the first sweep, which then never
+        # applies the full B: its Gram matrix and residual use B_bb.
+        pencil = get_pencil(kind, 16, family)
+        boundary_only = copy.copy(pencil)
+        boundary_only.b = NoProducts(pencil.b)
+        sol = solve_pencil(boundary_only, k)
+        assert (sol.residual_norms <= DEFAULT_TOL).all()
+        assert sol.eigenvalues == pytest.approx(dense_oracle(pencil, k).eigenvalues,
+                                                rel=10 * DEFAULT_TOL)
+
     @pytest.mark.parametrize("converged", (0, 2))
     def test_lanczos_no_convergence_raises(self, get_pencil, monkeypatch, converged):
         # No retry and no sweeps: the error carries the Ritz values Lanczos
@@ -411,13 +463,13 @@ class TestSolvePencilFem:
         # Every sweep after the first makes one solve of A.
         sweeps, run = eigen._rayleigh_ritz_sweeps, []
 
-        def counted(a_csr, b_csr, z, k, tol, a_inv):
+        def counted(pencil, z, k, tol, a_inv):
             def counted_inverse(rhs):
                 run.append(1)
                 return a_inv(rhs)
 
             run.append(1)
-            return sweeps(a_csr, b_csr, z, k, tol, counted_inverse)
+            return sweeps(pencil, z, k, tol, counted_inverse)
 
         pencil = get_pencil("lshape", 16, P1)
         monkeypatch.setattr(eigen, "_rayleigh_ritz_sweeps", counted)
@@ -429,8 +481,7 @@ class TestSolvePencilFem:
                 p = analysis._prolongation(get_mesh("lshape", 8), get_mesh("lshape", 16))
                 start = p @ solve_pencil(get_pencil("lshape", 8, P1), 3).eigenvectors
                 run.clear()
-                eigen._multigrid_eigenpairs(pencil.a.to_csr(), pencil.b.to_csr(), [p], start,
-                                            2, tol=1e-300)
+                eigen._multigrid_eigenpairs(pencil, [p], start, 2, tol=1e-300)
         assert len(run) == eigen.MAX_SWEEPS == 4
         assert np.isfinite(excinfo.value.eigenvalues).all()
         assert (excinfo.value.residuals > 1e-300).all()
@@ -610,9 +661,9 @@ class TestMultigridReference:
         # block runs on to the gap after lambda_4.
         lobpcg, widths = eigen._lobpcg, []
 
-        def recorded(a_csr, b_csr, start, *args):
+        def recorded(pencil, start, *args):
             widths.append(start.shape[1])
-            return lobpcg(a_csr, b_csr, start, *args)
+            return lobpcg(pencil, start, *args)
 
         monkeypatch.setattr(eigen, "_lobpcg", recorded)
         compute_reference(DomainSpec(kind), 64)
@@ -640,7 +691,7 @@ class TestMultigridReference:
         factorize, dimensions, factors = eigen.factorize_spd, [], []
 
         def tracked(matrix):
-            dimensions.append(matrix.dimension)
+            dimensions.append(matrix.shape[0])
             factor = factorize(matrix)
             factors.append(weakref.ref(factor))
             return factor
@@ -662,8 +713,7 @@ class TestMultigridReference:
         start = p @ solve_pencil(get_pencil("lshape", 8, P1), 3).eigenvectors
         pencil = get_pencil("lshape", 16, P1)
         with pytest.raises(ConvergenceFailureError) as excinfo:
-            eigen._multigrid_eigenpairs(pencil.a.to_csr(), pencil.b.to_csr(), [p], start, 2,
-                                        tol=1e-300)
+            eigen._multigrid_eigenpairs(pencil, [p], start, 2, tol=1e-300)
         assert excinfo.value.eigenvalues.shape == (2,)
         assert (excinfo.value.residuals > 1e-300).all()
 
@@ -676,12 +726,12 @@ class TestLobpcg:
         p = analysis._prolongation(get_mesh("slit", 8), get_mesh("slit", 16))
         start = p @ solve_pencil(get_pencil("slit", 8, P1), 3).eigenvectors
         pencil = get_pencil("slit", 16, P1)
-        a_csr, b_csr = pencil.a.to_csr(), pencil.b.to_csr()
+        a_csr, b_csr = pencil.a, pencil.b
         return pencil, a_csr, b_csr, [p], eigen._VCycle(a_csr, [p]), start
 
     def test_matches_dense_oracle(self, problem):
         pencil, a_csr, b_csr, _, vcycle, start = problem
-        x = eigen._lobpcg(a_csr, b_csr, start, vcycle, 1e-12)
+        x = eigen._lobpcg(pencil, start, vcycle, 1e-12)
         assert x.shape == start.shape
         gram = x.T @ (a_csr @ x)
         assert np.abs(gram - np.eye(3)).max() <= 1e-12
@@ -693,8 +743,8 @@ class TestLobpcg:
         # columns, and the sweeps decide the pairs.
         pencil, a_csr, b_csr, prolongations, vcycle, start = problem
         start = start[:, [0, 1, 1]]
-        assert eigen._lobpcg(a_csr, b_csr, start, vcycle, 1e-12).shape == (len(start), 2)
-        sol = eigen._multigrid_eigenpairs(a_csr, b_csr, prolongations, start, 2, DEFAULT_TOL)
+        assert eigen._lobpcg(pencil, start, vcycle, 1e-12).shape == (len(start), 2)
+        sol = eigen._multigrid_eigenpairs(pencil, prolongations, start, 2, DEFAULT_TOL)
         assert (sol.residual_norms <= DEFAULT_TOL).all()
         assert sol.eigenvalues == pytest.approx(dense_oracle(pencil, 2).eigenvalues, rel=1e-10)
 
@@ -714,7 +764,7 @@ class TestVCycle:
     def oracle(a_csr, prolongations):
         """The cycle's coarse matrices and its application, with copied restrictions.
 
-        The coarsest matrix is given as the upper triangle that is factored.
+        The coarsest matrix is given as the full CSR matrix that is factored.
         """
         levels, matrices = [], []
         for p in prolongations:
@@ -725,7 +775,8 @@ class TestVCycle:
             matrices.append(a_csr)
         upper = sp.triu(a_csr, format="csr")
         upper.eliminate_zeros()
-        coarse = factorize_spd(SymSparse(a_csr.shape[0], upper))
+        coarsest = SymSparse(a_csr.shape[0], upper).to_csr()
+        coarse = factorize_spd(coarsest)
 
         def apply(r):
             pre = []
@@ -739,12 +790,12 @@ class TestVCycle:
                 x = x + weights * (r - a @ x)
             return x
 
-        return matrices[:-1] + [upper], apply
+        return matrices[:-1] + [coarsest], apply
 
     @pytest.mark.parametrize("kind", ("lshape", "slit"))
     def test_restrictions_share_the_prolongation_arrays(self, get_mesh, get_pencil, kind):
         prolongations = self.hierarchy(get_mesh, kind)
-        vcycle = eigen._VCycle(get_pencil(kind, 64, P1).a.to_csr(), prolongations)
+        vcycle = eigen._VCycle(get_pencil(kind, 64, P1).a, prolongations)
         assert len(vcycle.levels) == len(prolongations) == 3
         for (_, _, p, restriction), given in zip(vcycle.levels, prolongations):
             assert p is given
@@ -753,11 +804,11 @@ class TestVCycle:
 
     @pytest.mark.parametrize("kind", ("lshape", "slit"))
     def test_matches_copied_restriction_oracle(self, get_mesh, get_pencil, monkeypatch, kind):
-        prolongations, a_csr = self.hierarchy(get_mesh, kind), get_pencil(kind, 64, P1).a.to_csr()
+        prolongations, a_csr = self.hierarchy(get_mesh, kind), get_pencil(kind, 64, P1).a
         factorize, coarsest = eigen.factorize_spd, []
 
         def recorded(matrix):
-            coarsest.append(matrix.upper)
+            coarsest.append(matrix)
             return factorize(matrix)
 
         monkeypatch.setattr(eigen, "factorize_spd", recorded)
@@ -771,11 +822,12 @@ class TestVCycle:
         assert np.array_equal(vcycle(r), apply(r))
 
 
-def reference_sweeps(a_csr, b_csr, z, k, tol, a_inv):
+def reference_sweeps(pencil, z, k, tol, a_inv):
     """Oracle: the sweeps with every block kept until its name is rebound.
 
     The residual is formed out of place and the results are copied.
     """
+    a_csr, b_csr = pencil.a, pencil.b
     eigenvalues = np.full(k, np.nan)
     residuals = np.full(k, np.inf)
     x = z
@@ -851,11 +903,10 @@ class TestSweepsBitIdentity:
     def oracle(self, pencil, k, calls):
         """``solve_pencil`` with the oracle sweeps and :meth:`oracle_inverse`."""
         factor = factorize_spd(pencil.a)
-        a_csr, b_csr = pencil.a.to_csr(), pencil.b.to_csr()
-        z = eigen._start_block(factor, b_csr, k, DEFAULT_TOL,
+        z = eigen._start_block(factor, pencil, k, DEFAULT_TOL,
                                np.random.default_rng(eigen.DEFAULT_SEED))
-        return reference_sweeps(a_csr, b_csr, z, k, DEFAULT_TOL,
-                                self.oracle_inverse(factor, a_csr, calls))
+        return reference_sweeps(pencil, z, k, DEFAULT_TOL,
+                                self.oracle_inverse(factor, pencil.a, calls))
 
     @pytest.mark.parametrize("kind", ("square", "lshape", "slit"))
     @pytest.mark.parametrize("family, level", ((P1, 32), (CR, 16)))
@@ -871,7 +922,7 @@ class TestSweepsBitIdentity:
                                                   kind, family, level):
         # square P1 level 4 has 16 boundary dofs and takes the Gaussian start.
         pencil, k = get_pencil(kind, level, family), 4
-        factor, b_csr = factorize_spd(pencil.a), pencil.b.to_csr()
+        factor, b_csr = factorize_spd(pencil.a), pencil.b
         eigsh, blocks = spla.eigsh, []
 
         def recorded(*args, **kwargs):
@@ -880,7 +931,7 @@ class TestSweepsBitIdentity:
             return result
 
         monkeypatch.setattr(spla, "eigsh", recorded)
-        got = eigen._start_block(factor, b_csr, k, DEFAULT_TOL, np.random.default_rng(7))
+        got = eigen._start_block(factor, pencil, k, DEFAULT_TOL, np.random.default_rng(7))
         if level == 4:
             assert not blocks
             nb = np.count_nonzero(np.diff(b_csr.indptr))
@@ -896,12 +947,12 @@ class TestSweepsBitIdentity:
         # sweeps are plain subspace iteration: 35 sweeps, past MAX_SWEEPS.
         monkeypatch.setattr(eigen, "MAX_SWEEPS", 500)
         pencil, k, calls = get_pencil("lshape", 16, P1), 4, []
-        factor, a_csr, b_csr = factorize_spd(pencil.a), pencil.a.to_csr(), pencil.b.to_csr()
+        factor, a_csr, b_csr = factorize_spd(pencil.a), pencil.a, pencil.b
         rng, nb = np.random.default_rng(eigen.DEFAULT_SEED), np.count_nonzero(np.diff(b_csr.indptr))
         start = padded_harmonic(factor, b_csr, rng.standard_normal((nb, k + 3)))
-        sol = eigen._rayleigh_ritz_sweeps(a_csr, b_csr, start.copy(), k, DEFAULT_TOL,
+        sol = eigen._rayleigh_ritz_sweeps(pencil, start.copy(), k, DEFAULT_TOL,
                                           eigen._refined_inverse(factor, a_csr))
-        assert_same_bits(sol, reference_sweeps(a_csr, b_csr, start, k, DEFAULT_TOL,
+        assert_same_bits(sol, reference_sweeps(pencil, start, k, DEFAULT_TOL,
                                                self.oracle_inverse(factor, a_csr, calls)))
         assert len(calls) >= 3
 
@@ -926,9 +977,8 @@ class TestSweepsBitIdentity:
         # candidates are the first k columns of a wider Ritz block.
         sweeps, calls = eigen._rayleigh_ritz_sweeps, []
 
-        def recorded(a_csr, b_csr, z, k, tol, a_inv):
-            calls.append(((a_csr, b_csr, z.copy(), k, tol, a_inv),
-                          sweeps(a_csr, b_csr, z, k, tol, a_inv)))
+        def recorded(pencil, z, k, tol, a_inv):
+            calls.append(((pencil, z.copy(), k, tol, a_inv), sweeps(pencil, z, k, tol, a_inv)))
             return calls[-1][1]
 
         monkeypatch.setattr(eigen, "_rayleigh_ritz_sweeps", recorded)
@@ -936,7 +986,7 @@ class TestSweepsBitIdentity:
         # The direct solve at the start level, then the multigrid sweeps.
         assert len(calls) == 2
         args, got = calls[-1]
-        assert args[2].shape[1] == 7 and args[3] == 4
+        assert args[1].shape[1] == 7 and args[2] == 4
         assert_same_bits(got, reference_sweeps(*args))
 
 
@@ -949,7 +999,7 @@ class TestSweepsMemory:
     """
 
     @staticmethod
-    def peak_blocks(a_csr, b_csr, make_start, k, a_inv):
+    def peak_blocks(pencil, make_start, k, a_inv):
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
@@ -957,49 +1007,49 @@ class TestSweepsMemory:
             starts = [make_start()]
             tracemalloc.reset_peak()
             entry = tracemalloc.get_traced_memory()[0]
-            sol = eigen._rayleigh_ritz_sweeps(a_csr, b_csr, starts.pop(), k, DEFAULT_TOL, a_inv)
+            sol = eigen._rayleigh_ritz_sweeps(pencil, starts.pop(), k, DEFAULT_TOL, a_inv)
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             if started:
                 tracemalloc.stop()
         assert (sol.residual_norms <= DEFAULT_TOL).all()
-        return peak / (a_csr.shape[0] * k * 8)
+        return peak / (pencil.dimension * k * 8)
 
     def test_first_sweep_from_the_start_block(self, get_pencil):
-        # 2.4 blocks: the Ritz block, the candidates and their image under A,
+        # 2.3 blocks: the Ritz block, the candidates and their image under A,
         # which the squared residual overwrites, less the freed start block;
-        # the rest is boundary-row blocks (B u, the residual there) and the
-        # boundary rows of B.  With the dense B u block and a norm's
-        # temporary: 4.0.  With every block kept until its name was rebound: 7.0.
+        # the rest is boundary-row blocks (B u, the residual there).  With the
+        # dense B u block and a norm's temporary: 4.0.  With every block kept
+        # until its name was rebound: 7.0.
         pencil, k = get_pencil("slit", 64, CR), 8
-        factor, a_csr, b_csr = factorize_spd(pencil.a), pencil.a.to_csr(), pencil.b.to_csr()
+        factor = factorize_spd(pencil.a)
 
         def forbidden(rhs):
             raise AssertionError("a second sweep ran")
 
         blocks = self.peak_blocks(
-            a_csr, b_csr,
-            lambda: eigen._start_block(factor, b_csr, k, DEFAULT_TOL, np.random.default_rng(1)),
+            pencil,
+            lambda: eigen._start_block(factor, pencil, k, DEFAULT_TOL, np.random.default_rng(1)),
             k, forbidden)
         assert blocks <= 2.5
 
     def test_refined_sweeps_from_a_random_block(self, get_pencil, monkeypatch):
         # 47 sweeps, past MAX_SWEEPS.  The peak is in the refined solve: B u,
         # its solve, A times that solve and a C-ordered copy of it, four
-        # (k + 3)-column blocks, plus the boundary rows of B: 4.20-4.23 blocks
-        # above the start block, by what the process allocated before.  A
-        # boundary residual kept alive into the next sweep reads 4.28.  With
-        # every block kept until its name was rebound: 11.3.
+        # (k + 3)-column blocks: 4.15-4.16 blocks above the start block, by
+        # what the process allocated before.  A boundary residual kept alive
+        # into the next sweep reads 4.22-4.24.  With every block kept until its
+        # name was rebound: 11.3.
         monkeypatch.setattr(eigen, "MAX_SWEEPS", 500)
         pencil, k, calls = get_pencil("slit", 64, CR), 8, []
-        factor, a_csr, b_csr = factorize_spd(pencil.a), pencil.a.to_csr(), pencil.b.to_csr()
-        rng, refined = np.random.default_rng(3), eigen._refined_inverse(factor, a_csr)
+        factor = factorize_spd(pencil.a)
+        rng, refined = np.random.default_rng(3), eigen._refined_inverse(factor, pencil.a)
 
         def a_inv(rhs):
             calls.append(1)
             return refined(rhs)
 
-        blocks = self.peak_blocks(a_csr, b_csr,
-                                  lambda: rng.standard_normal((pencil.dimension, k + 3)), k, a_inv)
+        blocks = self.peak_blocks(pencil, lambda: rng.standard_normal((pencil.dimension, k + 3)),
+                                  k, a_inv)
         assert len(calls) >= 3
-        assert blocks <= 4.25
+        assert blocks <= 4.19

@@ -12,7 +12,6 @@ from steklovfem import (
     CoefficientField,
     InvalidCoefficientError,
     P1,
-    SymSparse,
     UNIT_COEFFICIENTS,
     affine,
     assemble_boundary_mass,
@@ -25,11 +24,12 @@ from steklovfem.fem import (
     EDGE_GAUSS_POINTS,
     EDGE_GAUSS_WEIGHTS,
     TRIANGLE_QUADRATURE_BARY,
+    _scatter,
     evaluate_fe_many,
 )
 from steklovfem.mesh import LOCAL_EDGES
 
-from _utils import dof_points, reference_triangle_mesh, retained_bytes
+from _utils import dof_points, reference_triangle_mesh, retained_bytes, sym_sparse
 
 KINDS = ("square", "lshape", "slit")
 # Meshes of this level span at least three assembly blocks on every domain,
@@ -43,15 +43,19 @@ AFFINE_COEFFICIENTS = CoefficientField(alpha=affine(1.0, 0.5, 0.25), beta=affine
 
 def alpha_part(mesh, dofmap):
     """The pure diffusion matrix with alpha = 1, via linearity in alpha."""
-    a2 = assemble_stiffness(mesh, dofmap, CoefficientField(affine(2.0), affine(1.0))).to_dense()
-    a1 = assemble_stiffness(mesh, dofmap, CoefficientField(affine(1.0), affine(1.0))).to_dense()
+    a2 = assemble_stiffness(mesh, dofmap,
+                            CoefficientField(affine(2.0), affine(1.0))).to_csr().toarray()
+    a1 = assemble_stiffness(mesh, dofmap,
+                            CoefficientField(affine(1.0), affine(1.0))).to_csr().toarray()
     return a2 - a1
 
 
 def beta_part(mesh, dofmap):
     """The pure reaction mass matrix with beta = 1, via linearity in beta."""
-    a2 = assemble_stiffness(mesh, dofmap, CoefficientField(affine(1.0), affine(2.0))).to_dense()
-    a1 = assemble_stiffness(mesh, dofmap, CoefficientField(affine(1.0), affine(1.0))).to_dense()
+    a2 = assemble_stiffness(mesh, dofmap,
+                            CoefficientField(affine(1.0), affine(2.0))).to_csr().toarray()
+    a1 = assemble_stiffness(mesh, dofmap,
+                            CoefficientField(affine(1.0), affine(1.0))).to_csr().toarray()
     return a2 - a1
 
 
@@ -80,8 +84,8 @@ def einsum_stiffness(mesh, dofmap, coeff):
     local = (np.einsum("t,tad,tbd->tab", (w * alpha).sum(axis=1), grads, grads)
              + np.einsum("tq,qa,qb->tab", w * beta, basis, basis))
     a, b = np.array([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]).T
-    return SymSparse.from_entries(dofmap.n_dofs, dofmap.cell_dofs[:, a].ravel(),
-                                  dofmap.cell_dofs[:, b].ravel(), local[:, a, b].ravel())
+    return sym_sparse(dofmap.n_dofs, dofmap.cell_dofs[:, a].ravel(),
+                      dofmap.cell_dofs[:, b].ravel(), local[:, a, b].ravel())
 
 
 class TestLocalMatrices:
@@ -112,15 +116,18 @@ class TestLocalMatrices:
     def test_alpha_scaling_is_exact(self, get_mesh):
         mesh = get_mesh("lshape", 4)
         dm = build_dof_map(mesh, P1)
-        a1 = assemble_stiffness(mesh, dm, CoefficientField(affine(1.0), affine(1.0))).to_dense()
-        a3 = assemble_stiffness(mesh, dm, CoefficientField(affine(3.0), affine(1.0))).to_dense()
-        a5 = assemble_stiffness(mesh, dm, CoefficientField(affine(5.0), affine(1.0))).to_dense()
+        a1 = assemble_stiffness(mesh, dm,
+                                CoefficientField(affine(1.0), affine(1.0))).to_csr().toarray()
+        a3 = assemble_stiffness(mesh, dm,
+                                CoefficientField(affine(3.0), affine(1.0))).to_csr().toarray()
+        a5 = assemble_stiffness(mesh, dm,
+                                CoefficientField(affine(5.0), affine(1.0))).to_csr().toarray()
         assert a5 - a1 == pytest.approx(2.0 * (a3 - a1), rel=1e-15)
 
     def test_p1_boundary_edge_block(self):
         mesh = reference_triangle_mesh(boundary_local_edges=(2,))
         dm = build_dof_map(mesh, P1)
-        b = assemble_boundary_mass(mesh, dm).to_dense()
+        b = assemble_boundary_mass(mesh, dm).to_csr().toarray()
         expected = np.zeros((3, 3))
         expected[:2, :2] = (1.0 / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
         assert b == pytest.approx(expected, abs=1e-16)
@@ -128,7 +135,7 @@ class TestLocalMatrices:
     def test_cr_boundary_edge_block(self):
         mesh = reference_triangle_mesh(boundary_local_edges=(2,))
         dm = build_dof_map(mesh, CR)
-        b = assemble_boundary_mass(mesh, dm).to_dense()
+        b = assemble_boundary_mass(mesh, dm).to_csr().toarray()
         # Dof 0 is the midpoint of the boundary edge (0,0)-(1,0); its trace
         # is identically 1 there, the other two traces are +-(2t - 1).
         expected = np.array([
@@ -141,7 +148,7 @@ class TestLocalMatrices:
     def test_hypotenuse_boundary_block_scales_with_length(self):
         mesh = reference_triangle_mesh(boundary_local_edges=(0,))
         dm = build_dof_map(mesh, P1)
-        b = assemble_boundary_mass(mesh, dm).to_dense()
+        b = assemble_boundary_mass(mesh, dm).to_csr().toarray()
         length = math.sqrt(2.0)
         expected = np.zeros((3, 3))
         expected[1:, 1:] = (length / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -253,7 +260,7 @@ class TestAssemblyInvariants:
         a = assemble_stiffness(mesh, dm)
         assert sp.tril(a.upper, k=-1).nnz == 0
         assert a.upper.has_canonical_format
-        dense = a.to_dense()
+        dense = a.to_csr().toarray()
         assert np.array_equal(dense, dense.T)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -264,8 +271,8 @@ class TestAssemblyInvariants:
         ones = np.ones(dm.n_dofs)
         coeff_a = CoefficientField(alpha=affine(0.7, 2.0, 1.0), beta=affine(1.0))
         coeff_b = CoefficientField(alpha=affine(4.0, -1.0, 0.5), beta=affine(1.0))
-        va = assemble_stiffness(mesh, dm, coeff_a) @ ones
-        vb = assemble_stiffness(mesh, dm, coeff_b) @ ones
+        va = assemble_stiffness(mesh, dm, coeff_a).to_csr() @ ones
+        vb = assemble_stiffness(mesh, dm, coeff_b).to_csr() @ ones
         assert va == pytest.approx(vb, abs=1e-12)
 
     @pytest.mark.parametrize("kind,p_sq", [
@@ -281,7 +288,7 @@ class TestAssemblyInvariants:
         p = 1.0 + 2.0 * pts[:, 0] - pts[:, 1]
         alpha, beta = 2.0, 3.0
         a = assemble_stiffness(mesh, dm, CoefficientField(affine(alpha), affine(beta)))
-        energy = float(p @ (a @ p))
+        energy = float(p @ (a.to_csr() @ p))
         expected = alpha * 5.0 * mesh.domain.area + beta * p_sq
         assert energy == pytest.approx(expected, rel=1e-12)
 
@@ -292,7 +299,8 @@ class TestAssemblyInvariants:
         dm = get_dofmap(kind, 8, family)
         b = assemble_boundary_mass(mesh, dm)
         ones = np.ones(dm.n_dofs)
-        assert float(ones @ (b @ ones)) == pytest.approx(mesh.domain.perimeter, rel=1e-12)
+        assert float(ones @ (b.to_csr() @ ones)) == pytest.approx(mesh.domain.perimeter,
+                                                                 rel=1e-12)
 
     @pytest.mark.parametrize("family", (P1, CR))
     def test_boundary_mass_supported_on_boundary_dofs(self, get_mesh, get_dofmap, family):
@@ -309,7 +317,7 @@ class TestAssemblyInvariants:
         mesh = get_mesh("square", 2)
         dm = get_dofmap("square", 2, P1)
         coeff = CoefficientField(alpha=affine(1.0, 2.0, 3.0), beta=affine(1e-9))
-        a = assemble_stiffness(mesh, dm, coeff).to_dense()
+        a = assemble_stiffness(mesh, dm, coeff).to_csr().toarray()
         corners = mesh.vertices[mesh.triangles]
         manual = np.zeros_like(a)
         for t in range(mesh.n_triangles):
@@ -416,31 +424,39 @@ class TestCoefficientValidation:
     def test_unit_default(self, get_mesh, get_dofmap):
         mesh = get_mesh("square", 2)
         dm = get_dofmap("square", 2, P1)
-        a_default = assemble_stiffness(mesh, dm).to_dense()
-        a_unit = assemble_stiffness(mesh, dm, UNIT_COEFFICIENTS).to_dense()
+        a_default = assemble_stiffness(mesh, dm).to_csr().toarray()
+        a_unit = assemble_stiffness(mesh, dm, UNIT_COEFFICIENTS).to_csr().toarray()
         assert np.array_equal(a_default, a_unit)
 
 
 class TestSymSparse:
+    # Assembly scatters element entries by the six local pairs (0, 0), (1, 1),
+    # (2, 2), (0, 1), (0, 2), (1, 2); every entry left zero here is dropped.
     def test_unordered_pairs_fold_together(self):
-        m = SymSparse.from_entries(3, [0, 1], [1, 0], [2.0, 3.0])
+        # Local pair (0, 1) is dof pair (0, 1) in the first triangle, (1, 0) in the second.
+        m = _scatter(np.array([[0, 1, 2], [1, 0, 2]]),
+                     np.array([[0.0, 0.0, 0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, 3.0, 0.0, 0.0]]), 3)
         assert m.nnz == 1
         assert m.upper[0, 1] == 5.0 and m.upper[1, 0] == 0.0
 
     def test_exact_zeros_dropped(self):
-        m = SymSparse.from_entries(2, [0, 0, 1], [1, 1, 1], [1.0, -1.0, 2.0])
+        m = _scatter(np.array([[0, 1, 2], [0, 1, 2]]),
+                     np.array([[0.0, 2.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0, 0.0, 0.0]]), 3)
         assert m.nnz == 1
-        assert m.to_dense() == pytest.approx(np.diag([0.0, 2.0]))
+        assert m.to_csr().toarray() == pytest.approx(np.diag([0.0, 2.0, 0.0]))
 
     def test_matmul_matches_dense(self):
+        # The full CSR form is the upper triangle plus its strict transpose.
         rng = np.random.default_rng(7)
-        m = SymSparse.from_entries(4, [0, 1, 2, 0], [1, 2, 3, 3],
-                                   [1.0, -2.0, 0.5, 4.0])
+        rows, cols, values = [0, 1, 2, 0], [1, 2, 3, 3], [1.0, -2.0, 0.5, 4.0]
+        m = sym_sparse(4, rows, cols, values)
+        dense = np.zeros((4, 4))
+        dense[rows, cols] = values
         x = rng.standard_normal((4, 2))
-        assert m @ x == pytest.approx(m.to_dense() @ x, rel=1e-15)
+        assert m.to_csr() @ x == pytest.approx((dense + dense.T) @ x, rel=1e-15)
 
     def test_write_matrix_round_trip(self):
-        m = SymSparse.from_entries(3, [0, 1, 0], [0, 1, 2], [3.0, 4.0, 0.125])
+        m = sym_sparse(3, [0, 1, 0], [0, 1, 2], [3.0, 4.0, 0.125])
         buf = io.StringIO()
         write_matrix(m, buf)
         lines = buf.getvalue().splitlines()
