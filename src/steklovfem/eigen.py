@@ -324,7 +324,10 @@ def _refined_inverse(factor: SpdFactor,
 
     def a_inv(rhs: np.ndarray) -> np.ndarray:
         x = factor.solve(rhs)
-        rhs -= a_csr @ x
+        # SuperLU returns a Fortran-ordered block, whose columns a product
+        # reads without the C-ordered copy that ``a_csr @ x`` would make.
+        for j in range(x.shape[1]):
+            rhs[:, j] -= a_csr @ x[:, j]
         x += factor.solve(rhs)
         return x
 
@@ -472,7 +475,7 @@ def _multigrid_eigenpairs(pencil: Pencil, prolongations: list[sp.csr_matrix],
     """
     a_csr = pencil.a
     vcycle = _VCycle(a_csr, prolongations)
-    a_norms = np.sqrt(np.einsum("ij,ij->j", start, a_csr @ start))
+    a_norms = np.sqrt([col @ (a_csr @ col) for col in start.T])
     b_norms = np.linalg.norm(pencil.b_bb @ start[pencil.boundary], axis=0)
     x = _lobpcg(pencil, start, vcycle, tol * (b_norms / a_norms).min())
     precond = spla.LinearOperator(a_csr.shape, matvec=vcycle, dtype=float)
