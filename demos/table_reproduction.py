@@ -10,7 +10,7 @@ prediction 3r/2 for the trace error.
 
 The command-line equivalent of each study is printed alongside; pushing to
 level 256 with a level-512 reference reproduces the full tables, in about
-1.3 s (L-shape) and 2 s (slit) on a two-core machine:
+2.1 s (L-shape) and 2.6 s (slit) on a two-core machine:
 
     steklovfem study --domain lshape --element p1 --max-level 256 --ref-level 512
 """

@@ -319,13 +319,12 @@ def _refined_inverse(factor: SpdFactor,
 
     Without the refinement every sweep repeats the factor's solve error, and
     on CR level 512 the residuals stall above tol.  The residual ``b - A x``
-    overwrites the argument ``b``.
+    overwrites the argument ``b`` column by column, so ``A`` reads the
+    columns of SuperLU's Fortran-ordered solve without a C-ordered copy.
     """
 
     def a_inv(rhs: np.ndarray) -> np.ndarray:
         x = factor.solve(rhs)
-        # SuperLU returns a Fortran-ordered block, whose columns a product
-        # reads without the C-ordered copy that ``a_csr @ x`` would make.
         for j in range(x.shape[1]):
             rhs[:, j] -= a_csr @ x[:, j]
         x += factor.solve(rhs)
@@ -419,6 +418,8 @@ class _VCycle:
     ``P``'s arrays; its products sum in the same order as a CSR copy's.
     The Galerkin product is formed with a temporary CSR transpose, which
     keeps the coarse matrices' bits (the view there changes the rounding).
+    The coarsest, ``C``, is factored as its symmetric part ``(C + C^T) / 2``,
+    exactly symmetric, as the factor needs, since addition commutes.
     """
 
     def __init__(self, a_csr: sp.csr_matrix, prolongations: list[sp.csr_matrix]):
@@ -427,9 +428,7 @@ class _VCycle:
             weights = (JACOBI_DAMPING / a_csr.diagonal())[:, None]
             self.levels.append((a_csr, weights, p, p.T))
             a_csr = (p.T.tocsr() @ a_csr @ p).tocsr()
-        upper = sp.triu(a_csr, format="csr")
-        upper.eliminate_zeros()
-        self.coarse = factorize_spd(SymSparse(a_csr.shape[0], upper).to_csr())
+        self.coarse = factorize_spd(0.5 * (a_csr + a_csr.T))
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         shape = r.shape

@@ -204,14 +204,17 @@ class SymSparse:
 
     ``upper`` is canonical: entries have ``row <= col``, column indices are
     sorted within each row, duplicates are summed and exact zeros dropped, so
-    equal matrices have identical storage.  This is the form assembly
-    returns and :func:`write_matrix` dumps; solvers take the full symmetric
-    CSR matrix, built on the first :meth:`to_csr` call and cached.
+    equal matrices have identical storage.  It is only the form assembly
+    returns and :func:`write_matrix` dumps; solvers build none and take the
+    full symmetric CSR matrix, built on the first :meth:`to_csr` call and cached.
     """
 
-    dimension: int
     upper: sp.csr_matrix
     _csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def dimension(self) -> int:
+        return self.upper.shape[0]
 
     @property
     def nnz(self) -> int:
@@ -249,23 +252,17 @@ _LOCAL_PAIRS = np.array([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)])
 _PAIR_A, _PAIR_B = _LOCAL_PAIRS.T
 
 
-def _canonical(coo: sp.coo_matrix) -> sp.csr_matrix:
-    """The canonical CSR form of upper-triangle COO triplets: duplicates summed, zeros dropped."""
-    upper = coo.tocsr()  # sums duplicates, but keeps explicit zeros
-    upper.eliminate_zeros()
-    return upper
-
-
 def _scatter(cell_dofs: np.ndarray, entries: np.ndarray, n_dofs: int) -> SymSparse:
-    """Accumulate element entries, one column per ``_LOCAL_PAIRS`` row."""
+    """The canonical upper triangle of element entries, one column per ``_LOCAL_PAIRS`` row."""
     lo = np.empty(entries.shape, dtype=np.int32)
     hi = np.empty(entries.shape, dtype=np.int32)
     for block in _blocks(len(cell_dofs)):
         a, b = cell_dofs[block, _PAIR_A], cell_dofs[block, _PAIR_B]
         np.minimum(a, b, out=lo[block])
         np.maximum(a, b, out=hi[block])
-    coo = sp.coo_matrix((entries.ravel(), (lo.ravel(), hi.ravel())), shape=(n_dofs, n_dofs))
-    return SymSparse(dimension=n_dofs, upper=_canonical(coo))
+    upper = sp.coo_matrix((entries.ravel(), (lo.ravel(), hi.ravel())), shape=(n_dofs, n_dofs)).tocsr()
+    upper.eliminate_zeros()  # tocsr sums duplicates, but keeps explicit zeros
+    return SymSparse(upper)
 
 
 def _coefficient_values(coeff: CoefficientField, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -31,7 +31,7 @@ def sym_sparse(dimension, rows, cols, values):
                            (np.minimum(rows, cols), np.maximum(rows, cols))),
                           shape=(dimension, dimension)).tocsr()
     upper.eliminate_zeros()
-    return SymSparse(dimension, upper)
+    return SymSparse(upper)
 
 
 def reference_triangle_mesh(boundary_local_edges=(2, 0, 1)):

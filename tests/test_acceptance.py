@@ -70,7 +70,7 @@ def studies():
     CR level four halvings below the reference keeps that floor negligible
     next to the measured error.  Both level-1024 references are computed in
     this process: their multigrid solves factor no level-1024 matrix, and
-    each, run alone, peaked at 0.78 GB (L-shape) and 0.99 GB (slit) of RSS.
+    each, run alone, peaked at 0.42 GB (L-shape) and 0.53 GB (slit) of RSS.
     """
     spec = ReferenceSpec(mode="bracket", level=REFERENCE_LEVEL)
     tables = {}

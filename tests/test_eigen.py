@@ -18,7 +18,6 @@ from steklovfem import (
     NotPositiveDefiniteError,
     P1,
     Pencil,
-    SymSparse,
     UNIT_COEFFICIENTS,
     affine,
     assemble_boundary_mass,
@@ -707,6 +706,15 @@ class TestMultigridReference:
             if enabled:
                 gc.enable()
 
+    def test_builds_no_sym_sparse(self, monkeypatch):
+        # SymSparse is the form assembly returns; the solver works on CSR only.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the solver built a SymSparse")
+
+        monkeypatch.setattr(eigen, "SymSparse", forbidden)
+        ref = compute_reference(DomainSpec("lshape"), 64)
+        assert ref.lambda_h > 0.0
+
     def test_unreachable_tolerance_raises(self, get_mesh, get_pencil):
         fine, coarse = get_mesh("lshape", 16), get_mesh("lshape", 8)
         p = analysis._prolongation(coarse, fine)
@@ -789,7 +797,8 @@ class TestVCycle:
     def oracle(a_csr, prolongations):
         """The cycle's coarse matrices and its application, with copied restrictions.
 
-        The coarsest matrix is given as the full CSR matrix that is factored.
+        The coarsest matrix is given as the matrix that is factored, the
+        symmetric part of the Galerkin product.
         """
         levels, matrices = [], []
         for p in prolongations:
@@ -798,9 +807,7 @@ class TestVCycle:
                            restriction))
             a_csr = (restriction @ a_csr @ p).tocsr()
             matrices.append(a_csr)
-        upper = sp.triu(a_csr, format="csr")
-        upper.eliminate_zeros()
-        coarsest = SymSparse(a_csr.shape[0], upper).to_csr()
+        coarsest = 0.5 * (a_csr + a_csr.T)
         coarse = factorize_spd(coarsest)
 
         def apply(r):
@@ -845,6 +852,22 @@ class TestVCycle:
                 assert np.array_equal(getattr(g, attr), getattr(w, attr))
         r = np.random.default_rng(5).standard_normal((a_csr.shape[0], 3))
         assert np.array_equal(vcycle(r), apply(r))
+
+    @pytest.mark.parametrize("kind", ("lshape", "slit"))
+    def test_factored_matrix_is_exactly_symmetric(self, get_mesh, get_pencil, monkeypatch, kind):
+        # The Galerkin product itself is symmetric only up to rounding.
+        prolongations, a_csr = self.hierarchy(get_mesh, kind), get_pencil(kind, 64, P1).a
+        factorize, coarsest = eigen.factorize_spd, []
+
+        def recorded(matrix):
+            coarsest.append(matrix)
+            return factorize(matrix)
+
+        monkeypatch.setattr(eigen, "factorize_spd", recorded)
+        eigen._VCycle(a_csr, prolongations)
+        (matrix,) = coarsest
+        assert matrix.shape == (prolongations[-1].shape[1],) * 2
+        assert (matrix != matrix.T).nnz == 0
 
 
 def reference_sweeps(pencil, z, k, tol, a_inv):
@@ -1061,7 +1084,7 @@ class TestSweepsMemory:
     def test_refined_sweeps_from_a_random_block(self, get_pencil, monkeypatch):
         # 47 sweeps, past MAX_SWEEPS.  The peak is in the refined solve: B u,
         # its solve and the second solve's Fortran-ordered copy of the
-        # residual, three (k + 3)-column blocks: 2.78-2.79 blocks above the
+        # residual, three (k + 3)-column blocks: 2.77-2.79 blocks above the
         # start block, by what the process allocated before.  A residual taken
         # as one block product, which copies the Fortran-ordered solve into C
         # order, reads 4.15-4.16; a boundary residual kept alive into the next
@@ -1078,4 +1101,4 @@ class TestSweepsMemory:
         blocks = self.peak_blocks(pencil, lambda: rng.standard_normal((pencil.dimension, k + 3)),
                                   k, a_inv)
         assert len(calls) >= 3
-        assert blocks <= 3.95
+        assert blocks <= 3.0

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import re
@@ -12,6 +13,7 @@ from steklovfem import (
     CoefficientField,
     InvalidCoefficientError,
     P1,
+    SymSparse,
     UNIT_COEFFICIENTS,
     affine,
     assemble_boundary_mass,
@@ -454,6 +456,12 @@ class TestSymSparse:
         dense[rows, cols] = values
         x = rng.standard_normal((4, 2))
         assert m.to_csr() @ x == pytest.approx((dense + dense.T) @ x, rel=1e-15)
+
+    def test_stores_only_the_upper_triangle(self):
+        # The dimension is read off the matrix, so the two cannot disagree.
+        assert [f.name for f in dataclasses.fields(SymSparse)] == ["upper", "_csr"]
+        m = sym_sparse(4, [0, 1], [1, 2], [1.0, 2.0])
+        assert m.dimension == m.upper.shape[0] == 4
 
     def test_write_matrix_round_trip(self):
         m = sym_sparse(3, [0, 1, 0], [0, 1, 2], [3.0, 4.0, 0.125])
