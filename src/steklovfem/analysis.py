@@ -13,12 +13,14 @@ level that cannot be halved; the P1 prolongations between these nested
 meshes, whose weights are integer grid offsets over the level ratio
 (:func:`~.mesh._prolongation`), carry a multigrid V-cycle that preconditions
 LOBPCG.  LOBPCG starts from the prolonged eigenvectors of a direct solve on
-the hierarchy level nearest an eighth of the reference level.  The spectrum
-of that start level sets the block width (:func:`_block_width`): LOBPCG runs
-as long as its slowest column, so the block gets spare columns past the
-``k`` wanted ones only when no gap of ratio ``REFERENCE_GAP_RATIO`` follows
-``lambda_k``, and then ends at the first such gap or after
-``REFERENCE_SPARE_COLUMNS`` spares.
+the third halving of the reference level, or on the coarsest level of a
+shorter hierarchy.  The spectrum of that start level sets the block width
+(:func:`_block_width`): LOBPCG runs as long as its slowest column, so the
+block gets spare columns past the ``k`` wanted ones only when no gap of ratio
+``REFERENCE_GAP_RATIO`` follows ``lambda_k``, and then ends at the first such
+gap or after ``REFERENCE_SPARE_COLUMNS`` spares.  The study levels, their P1
+twins and ``steklovfem solve`` take the direct path of the same function,
+:func:`_solve_mesh`.
 """
 
 from __future__ import annotations
@@ -68,9 +70,9 @@ REFERENCE_INTERVALS: dict[tuple[str, int], tuple[float, float]] = {
 
 CLUSTER_GAP_TOL = 1e-8
 # Reference solves halve the level down to this one for the multigrid hierarchy,
-# and start from a direct solve on the hierarchy level nearest reference / ratio.
+# and start from a direct solve this many halvings down, or on the coarsest level.
 MULTIGRID_COARSEST_LEVEL = 8
-MULTIGRID_START_RATIO = 8
+MULTIGRID_START_HALVINGS = 3
 # The LOBPCG block of a reference solve ends at the first start-level eigenvalue
 # gap of this ratio from lambda_k on, and holds at most this many spare columns.
 REFERENCE_GAP_RATIO = 1.5
@@ -266,14 +268,6 @@ class ReferenceSolution:
     lambda_h: float
 
 
-def _solve_level(mesh: Mesh, family: str, coeff: CoefficientField,
-                 k: int, tol: float, seed: int):
-    dofmap = build_dof_map(mesh, family)
-    pencil = Pencil(assemble_stiffness(mesh, dofmap, coeff),
-                    assemble_boundary_mass(mesh, dofmap))
-    return dofmap, solve_pencil(pencil, k, tol=tol, seed=seed)
-
-
 def _multigrid_levels(domain: DomainSpec, level: int) -> list[int]:
     """The reference level, then its halvings while they are valid levels >= 8."""
     levels = [level]
@@ -309,30 +303,28 @@ def _block_width(eigenvalues: np.ndarray, k: int) -> int:
     return k + REFERENCE_SPARE_COLUMNS
 
 
-def _solve_reference(mesh: Mesh, coeff: CoefficientField, k: int, tol: float,
-                     seed: int) -> tuple[DofMap, EigenSolution]:
-    """P1 dof map and ``k`` smallest eigenpairs on a reference mesh, no factor at its level.
+def _solve_mesh(mesh: Mesh, family: str, coeff: CoefficientField, k: int, tol: float,
+                seed: int, factor_free: bool = False) -> tuple[DofMap, EigenSolution]:
+    """Dof map and ``k`` smallest eigenpairs of the pencil of ``mesh``.
 
-    The stiffness matrix is SPD by construction, so a multigrid hierarchy
-    of halved levels preconditions LOBPCG, started from the prolonged
-    eigenvectors of a direct solve at the level nearest an eighth of the
-    reference (the two-grid idea of Xu & Zhou, Math. Comp. 70, 2001).  That
-    solve finds ``k + REFERENCE_SPARE_COLUMNS`` pairs, and its spectrum sets
-    how many of them LOBPCG gets (:func:`_block_width`): ``k`` when
-    ``lambda_{k+1}`` is well apart, more when ``lambda_k`` sits in a cluster.
-    A reference level that cannot be halved is solved directly.
+    The pencil is solved directly (:func:`~.eigen.solve_pencil`) unless
+    ``factor_free`` is set and the level can be halved.  Then no matrix of
+    this level is factored: the stiffness matrix is SPD by construction, so
+    a multigrid hierarchy of halved P1 levels preconditions LOBPCG, started
+    from the prolonged eigenvectors of a direct solve of
+    ``k + REFERENCE_SPARE_COLUMNS`` pairs on the start level (the two-grid
+    idea of Xu & Zhou, Math. Comp. 70, 2001; see the module docstring).
     """
-    levels = _multigrid_levels(mesh.domain, mesh.level)
-    if len(levels) == 1:
-        return _solve_level(mesh, P1, coeff, k, tol, seed)
-    dofmap = build_dof_map(mesh, P1)
+    levels = _multigrid_levels(mesh.domain, mesh.level) if factor_free else [mesh.level]
+    dofmap = build_dof_map(mesh, family)
     pencil = Pencil(assemble_stiffness(mesh, dofmap, coeff), assemble_boundary_mass(mesh, dofmap))
+    if len(levels) == 1:
+        return dofmap, solve_pencil(pencil, k, tol=tol, seed=seed)
     meshes = [mesh] + [generate_mesh(mesh.domain, lvl) for lvl in levels[1:]]
     prolongations = [_prolongation(coarse, fine) for fine, coarse in zip(meshes, meshes[1:])]
-    target = mesh.level / MULTIGRID_START_RATIO
-    start_index = int(np.argmin([abs(lvl - target) for lvl in levels]))
-    coarse = _solve_level(meshes[start_index], P1, coeff, k + REFERENCE_SPARE_COLUMNS, tol,
-                          seed)[1]
+    start_index = min(MULTIGRID_START_HALVINGS, len(levels) - 1)
+    coarse = _solve_mesh(meshes[start_index], P1, coeff, k + REFERENCE_SPARE_COLUMNS, tol,
+                         seed)[1]
     start = coarse.eigenvectors[:, :_block_width(coarse.eigenvalues, k)]
     del meshes, coarse
     for p in reversed(prolongations[:start_index]):
@@ -351,13 +343,13 @@ def compute_reference(domain: DomainSpec, level: int, eig_index: int = 2,
     """Solve the conforming P1 problem on the reference mesh.
 
     The solve factors no matrix of the reference level (see
-    :func:`_solve_reference`).  The eigenfunction sign is normalized so
+    :func:`_solve_mesh`).  The eigenfunction sign is normalized so
     that its largest-magnitude boundary dof value is positive, making the
     reference deterministic.
     """
     _check_eig_index(eig_index)
     mesh = generate_mesh(domain, level)
-    dofmap, sol = _solve_reference(mesh, coeff, eig_index, tol, seed)
+    dofmap, sol = _solve_mesh(mesh, P1, coeff, eig_index, tol, seed, factor_free=True)
     values = sol.eigenvectors[:, eig_index - 1].copy()
     bvals = values[dofmap.boundary_dofs]
     if bvals[np.argmax(np.abs(bvals))] < 0.0:
@@ -501,7 +493,7 @@ def run_convergence_study(domain: DomainSpec, family: str, levels: Sequence[int]
     fit_lambdas: list[float] = []
     for lvl in levels:
         mesh = generate_mesh(domain, lvl)
-        dofmap, sol = _solve_level(mesh, family, coeff, eig_index + 1, tol, seed)
+        dofmap, sol = _solve_mesh(mesh, family, coeff, eig_index + 1, tol, seed)
         lam = sol.eigenvalues
         target = float(lam[eig_index - 1])
         for nb in (eig_index - 2, eig_index):
@@ -517,7 +509,7 @@ def run_convergence_study(domain: DomainSpec, family: str, levels: Sequence[int]
         lambda_hs.append(target)
         if lvl in fit_levels:
             del dofmap, sol, u_h, trace  # a CR solution is freed before its P1 twin is solved
-            fit_lambdas.append(target if family == P1 else float(_solve_level(
+            fit_lambdas.append(target if family == P1 else float(_solve_mesh(
                 mesh, P1, coeff, eig_index + 1, tol, seed)[1].eigenvalues[eig_index - 1]))
     if fit_levels:
         reference_lambda = _richardson_fit(fit_levels, fit_lambdas, 2.0 * domain.expected_r)

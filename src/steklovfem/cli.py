@@ -11,9 +11,8 @@ import argparse
 import sys
 from contextlib import contextmanager
 
-from .analysis import ReferenceSpec, run_convergence_study
-from .eigen import (ConvergenceFailureError, DEFAULT_SEED, DEFAULT_TOL,
-                    NotPositiveDefiniteError, Pencil, solve_pencil)
+from .analysis import ReferenceSpec, _solve_mesh, run_convergence_study
+from .eigen import ConvergenceFailureError, DEFAULT_SEED, DEFAULT_TOL, NotPositiveDefiniteError
 from .fem import (_FAMILIES, CoefficientField, affine, assemble_boundary_mass,
                   assemble_stiffness, build_dof_map, write_matrix)
 from .mesh import _KINDS, DomainSpec, generate_mesh, write_mesh
@@ -93,11 +92,8 @@ def cmd_assemble(args) -> int:
 
 def cmd_solve(args) -> int:
     mesh = generate_mesh(DomainSpec(args.domain), args.level)
-    dofmap = build_dof_map(mesh, args.element)
-    coeff = _coefficient_field(args)
-    pencil = Pencil(assemble_stiffness(mesh, dofmap, coeff),
-                    assemble_boundary_mass(mesh, dofmap))
-    solution = solve_pencil(pencil, args.k, tol=args.tol, seed=args.seed)
+    _, solution = _solve_mesh(mesh, args.element, _coefficient_field(args), args.k, args.tol,
+                              args.seed)
     lines = []
     for j, (lam, res) in enumerate(zip(solution.eigenvalues, solution.residual_norms), start=1):
         lines.append(f"lambda_{j} = {lam:.8f}   residual = {res:.8e}")

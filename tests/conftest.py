@@ -81,6 +81,30 @@ def get_pencil(get_mesh, get_dofmap):
     return get
 
 
+@pytest.fixture
+def solve_mesh_calls(monkeypatch):
+    """Each ``_solve_mesh`` call as ``(domain, level, family, k, factor_free, depth)``.
+
+    ``depth`` is 0 for a call from outside and 1 for the start solve that the
+    factor-free path makes through itself.  The CLI's name is recorded too.
+    """
+    from steklovfem import analysis, cli
+
+    solve_mesh, calls, depth = analysis._solve_mesh, [], [0]
+
+    def recorded(mesh, family, coeff, k, tol, seed, factor_free=False):
+        calls.append((mesh.domain.kind, mesh.level, family, k, factor_free, depth[0]))
+        depth[0] += 1
+        try:
+            return solve_mesh(mesh, family, coeff, k, tol, seed, factor_free=factor_free)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(analysis, "_solve_mesh", recorded)
+    monkeypatch.setattr(cli, "_solve_mesh", recorded)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def package_env():
     """Environment for a child ``python -m steklovfem``: it imports the package

@@ -460,9 +460,23 @@ class TestComputeReference:
     def test_eig_index_checked_before_any_solve(self, monkeypatch, level, eig_index):
         import steklovfem.analysis as analysis
 
-        monkeypatch.setattr(analysis, "_solve_level", no_solve)
+        monkeypatch.setattr(analysis, "_solve_mesh", no_solve)
         with pytest.raises(ValueError, match=f"eig_index must be at least 1, got {eig_index}"):
             compute_reference(DomainSpec("lshape"), level, eig_index)
+
+    def test_one_factor_free_call(self, solve_mesh_calls):
+        # The nested call is the direct start solve on the third halving.
+        compute_reference(DomainSpec("lshape"), 64, eig_index=2)
+        assert solve_mesh_calls == [("lshape", 64, P1, 2, True, 0), ("lshape", 8, P1, 5, False, 1)]
+
+    @pytest.mark.parametrize("kind, level, start", (
+        ("square", 128, 16), ("slit", 64, 8), ("lshape", 256, 32),  # the third halving
+        ("lshape", 32, 8), ("square", 16, 8), ("lshape", 36, 18),  # the coarsest level
+        ("slit", 6, None)))  # no halving: a direct solve
+    def test_start_level(self, solve_mesh_calls, kind, level, start):
+        compute_reference(DomainSpec(kind), level, eig_index=1)
+        assert solve_mesh_calls[0] == (kind, level, P1, 1, True, 0)
+        assert [call[1] for call in solve_mesh_calls[1:]] == ([start] if start else [])
 
     def test_richardson_fit_recovers_exact_model(self):
         levels = [8, 16, 32]
@@ -589,10 +603,22 @@ class TestRunConvergenceStudy:
         import steklovfem.analysis as analysis
 
         monkeypatch.setattr(analysis, "compute_reference", no_solve)
-        monkeypatch.setattr(analysis, "_solve_level", no_solve)
+        monkeypatch.setattr(analysis, "_solve_mesh", no_solve)
         with pytest.raises(ValueError, match=match):
             run_convergence_study(DomainSpec(domain), P1, levels,
                                   reference=ReferenceSpec(mode=mode, level=512))
+
+    @pytest.mark.parametrize("family, mode, families", (
+        (P1, "bracket", (P1,)), (CR, "richardson", (CR, P1))))
+    def test_one_direct_solve_per_level(self, solve_mesh_calls, family, mode, families):
+        # A CR Richardson study adds the P1 twin of each fitted level.
+        domain = DomainSpec("lshape")
+        ref = compute_reference(domain, 64)
+        solve_mesh_calls.clear()
+        run_convergence_study(domain, family, [8, 16, 32], reference_solution=ref,
+                              reference=ReferenceSpec(mode=mode, level=64))
+        assert solve_mesh_calls == [("lshape", lvl, f, 3, False, 0)
+                                    for lvl in (8, 16, 32) for f in families]
 
     def test_richardson_needs_three_levels(self):
         with pytest.raises(ValueError, match="three study levels"):

@@ -13,6 +13,7 @@ from steklovfem import (
     assemble_stiffness,
     build_dof_map,
     dense_oracle,
+    solve_pencil,
 )
 from steklovfem.cli import _coefficient_field, build_parser, main
 
@@ -200,6 +201,16 @@ class TestSolveCommand:
                                      assemble_boundary_mass(mesh, dm)), 3)
         printed = [float(ln.split()[2]) for ln in out.splitlines()]
         assert printed == pytest.approx(oracle.eigenvalues, abs=5e-9)
+
+    @pytest.mark.parametrize("kind, family", (("lshape", P1), ("slit", CR)))
+    def test_goes_through_solve_mesh(self, get_pencil, solve_mesh_calls, capsys, kind, family):
+        code, out, _ = run_cli("solve", "--domain", kind, "--level", "16", "--element", family,
+                               "--k", "3", capsys=capsys)
+        assert code == 0
+        assert solve_mesh_calls == [(kind, 16, family, 3, False, 0)]
+        sol = solve_pencil(get_pencil(kind, 16, family), 3)
+        assert out == "".join(f"lambda_{j} = {lam:.8f}   residual = {res:.8e}\n" for j, (lam, res)
+                              in enumerate(zip(sol.eigenvalues, sol.residual_norms), start=1))
 
     def test_deterministic_output(self, capsys):
         args = ("solve", "--domain", "lshape", "--level", "8", "--element", "cr",

@@ -617,7 +617,8 @@ class TestMultigridReference:
     def test_matches_direct_solve(self, get_mesh, get_dofmap, kind, level, coeff_id):
         coeff = COEFFICIENTS[coeff_id]
         mesh, dm = get_mesh(kind, level), get_dofmap(kind, level, P1)
-        _, sol = analysis._solve_reference(mesh, coeff, 3, DEFAULT_TOL, eigen.DEFAULT_SEED)
+        _, sol = analysis._solve_mesh(mesh, P1, coeff, 3, DEFAULT_TOL, eigen.DEFAULT_SEED,
+                                      factor_free=True)
         pencil = Pencil(assemble_stiffness(mesh, dm, coeff), assemble_boundary_mass(mesh, dm))
         direct = solve_pencil(pencil, 3)
         assert sol.eigenvalues == pytest.approx(direct.eigenvalues, rel=1e-10)
