@@ -13,14 +13,14 @@ level that cannot be halved; the P1 prolongations between these nested
 meshes, whose weights are integer grid offsets over the level ratio
 (:func:`~.mesh._prolongation`), carry a multigrid V-cycle that preconditions
 LOBPCG.  LOBPCG starts from the prolonged eigenvectors of a direct solve on
-the third halving of the reference level, or on the coarsest level of a
-shorter hierarchy.  The spectrum of that start level sets the block width
-(:func:`_block_width`): LOBPCG runs as long as its slowest column, so the
-block gets spare columns past the ``k`` wanted ones only when no gap of ratio
-``REFERENCE_GAP_RATIO`` follows ``lambda_k``, and then ends at the first such
-gap or after ``REFERENCE_SPARE_COLUMNS`` spares.  The study levels, their P1
-twins and ``steklovfem solve`` take the direct path of the same function,
-:func:`_solve_mesh`.
+the third halving of the reference level or the coarsest level of a shorter
+hierarchy, moved up while it has fewer boundary dofs than start pairs.  The
+spectrum of that start level sets the block width (:func:`_block_width`):
+LOBPCG runs as long as its slowest column, so the block gets spare columns
+past the ``k`` wanted ones only when no gap of ratio ``REFERENCE_GAP_RATIO``
+follows ``lambda_k``, and then ends at the first such gap or after
+``REFERENCE_SPARE_COLUMNS`` spares.  The study levels, their P1 twins and
+``steklovfem solve`` take the direct path of the same function, :func:`_solve_mesh`.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ from typing import Sequence
 import numpy as np
 
 from . import fem
-from .eigen import (DEFAULT_SEED, DEFAULT_TOL, EigenSolution, Pencil, _multigrid_eigenpairs,
-                    solve_pencil)
+from .eigen import (DEFAULT_SEED, DEFAULT_TOL, EigenSolution, Pencil, _check_tol,
+                    _multigrid_eigenpairs, solve_pencil)
 from .fem import (P1, CoefficientField, DofMap, UNIT_COEFFICIENTS,
                   assemble_boundary_mass, assemble_stiffness, build_dof_map,
                   evaluate_fe_many)
 from .interp import as_point_function
-from .mesh import (DomainSpec, InvalidLevelError, Mesh, NestingError, _check_nesting,
+from .mesh import (SQRT2, DomainSpec, InvalidLevelError, Mesh, NestingError, _check_nesting,
                    _prolongation, _validate_level, edge_slit_sides, generate_mesh)
 
 __all__ = [
@@ -141,10 +141,9 @@ class TransferredTrace:
 
     def __post_init__(self) -> None:
         fine, coarse = self.fn.mesh, self.coarse_mesh
-        _check_nesting(coarse, fine)
+        r = _check_nesting(coarse, fine)
         tris, bary, self._weights, _, _ = _boundary_gauss(fine)
         self._values = evaluate_fe_many(self.fn.values, self.fn.dofmap, tris[:, None], bary)
-        r = fine.level // coarse.level
         edge, offset = np.divmod(np.arange(fine.n_boundary_edges)[:, None], r)
         self._coarse_tris = coarse.boundary_edges[edge, 0]
         self._coarse_bary = fem._edge_bary(coarse.boundary_edges[edge, 1],
@@ -308,21 +307,25 @@ def _solve_mesh(mesh: Mesh, family: str, coeff: CoefficientField, k: int, tol: f
     """Dof map and ``k`` smallest eigenpairs of the pencil of ``mesh``.
 
     The pencil is solved directly (:func:`~.eigen.solve_pencil`) unless
-    ``factor_free`` is set and the level can be halved.  Then no matrix of
-    this level is factored: the stiffness matrix is SPD by construction, so
-    a multigrid hierarchy of halved P1 levels preconditions LOBPCG, started
-    from the prolonged eigenvectors of a direct solve of
-    ``k + REFERENCE_SPARE_COLUMNS`` pairs on the start level (the two-grid
-    idea of Xu & Zhou, Math. Comp. 70, 2001; see the module docstring).
+    ``factor_free`` is set and an allowed start level has one P1 boundary
+    dof, so one boundary edge, for each of the ``k + REFERENCE_SPARE_COLUMNS``
+    pairs of the start solve.  Then no matrix of this level is factored: the
+    stiffness matrix is SPD by construction, so a multigrid hierarchy of
+    halved P1 levels preconditions LOBPCG, started from the prolonged
+    eigenvectors of that direct solve on the deepest such level (Xu & Zhou's
+    two-grid idea, Math. Comp. 70, 2001; see the module docstring).
     """
+    _check_tol(tol)
     levels = _multigrid_levels(mesh.domain, mesh.level) if factor_free else [mesh.level]
     dofmap = build_dof_map(mesh, family)
     pencil = Pencil(assemble_stiffness(mesh, dofmap, coeff), assemble_boundary_mass(mesh, dofmap))
-    if len(levels) == 1:
-        return dofmap, solve_pencil(pencil, k, tol=tol, seed=seed)
     meshes = [mesh] + [generate_mesh(mesh.domain, lvl) for lvl in levels[1:]]
-    prolongations = [_prolongation(coarse, fine) for fine, coarse in zip(meshes, meshes[1:])]
     start_index = min(MULTIGRID_START_HALVINGS, len(levels) - 1)
+    while start_index and meshes[start_index].n_boundary_edges < k + REFERENCE_SPARE_COLUMNS:
+        start_index -= 1
+    if not start_index:
+        return dofmap, solve_pencil(pencil, k, tol=tol, seed=seed)
+    prolongations = [_prolongation(coarse, fine) for fine, coarse in zip(meshes, meshes[1:])]
     coarse = _solve_mesh(meshes[start_index], P1, coeff, k + REFERENCE_SPARE_COLUMNS, tol,
                          seed)[1]
     start = coarse.eigenvectors[:, :_block_width(coarse.eigenvalues, k)]
@@ -361,7 +364,7 @@ def compute_reference(domain: DomainSpec, level: int, eig_index: int = 2,
 
 def _richardson_fit(levels: Sequence[int], lambdas: Sequence[float], rate: float) -> float:
     """Least-squares fit of ``lambda_h = lambda + C h**rate``."""
-    h = np.array([math.sqrt(2.0) / n for n in levels])
+    h = np.array([SQRT2 / n for n in levels])
     design = np.column_stack([np.ones_like(h), h**rate])
     coefs, *_ = np.linalg.lstsq(design, np.asarray(lambdas, dtype=float), rcond=None)
     return float(coefs[0])
@@ -429,8 +432,7 @@ def _validate_levels(levels: Sequence[int], reference_level: int) -> list[int]:
     if reference_level <= top:
         raise ValueError(
             f"reference level {reference_level} must exceed the finest study level {top}")
-    ratio = reference_level / top
-    if 2 ** round(math.log2(ratio)) * top != reference_level:
+    if 2 ** round(math.log2(reference_level / top)) * top != reference_level:
         raise ValueError(
             f"reference level {reference_level} must be a power-of-two multiple of {top}")
     return levels
@@ -525,7 +527,7 @@ def run_convergence_study(domain: DomainSpec, family: str, levels: Sequence[int]
             return None
 
     lambda_errors = [abs(lh - reference_lambda) for lh in lambda_hs]
-    rows = [ConvergenceRow(level=lvl, h=math.sqrt(2.0) / lvl, lambda_h=lambda_hs[i],
+    rows = [ConvergenceRow(level=lvl, h=SQRT2 / lvl, lambda_h=lambda_hs[i],
                            lambda_error=lambda_errors[i],
                            lambda_ratio=ratio(lvl, "eigenvalue", lambda_errors[i:i + 2]),
                            u_error=u_errors[i],

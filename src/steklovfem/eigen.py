@@ -194,8 +194,18 @@ def factorize_spd(matrix: sp.csr_matrix) -> SpdFactor:
     return SpdFactor(matrix)
 
 
-def _sym(m: np.ndarray) -> np.ndarray:
+def _sym(m):
     return 0.5 * (m + m.T)
+
+
+def _check_k(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be between 1 and {n}, got {k}")
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol <= 1e-6:
+        raise ValueError(f"tol must lie in (0, 1e-6], got {tol!r}")
 
 
 def _start_block(factor: SpdFactor, pencil: Pencil, k: int, tol: float,
@@ -300,11 +310,8 @@ def solve_pencil(pencil: Pencil, k: int, tol: float = DEFAULT_TOL,
         If Lanczos stops short, or the residuals do not reach ``tol`` within
         ``MAX_SWEEPS`` sweeps.
     """
-    n = pencil.dimension
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be between 1 and {n}, got {k}")
-    if not 0.0 < tol <= 1e-6:
-        raise ValueError(f"tol must lie in (0, 1e-6], got {tol!r}")
+    _check_k(k, pencil.dimension)
+    _check_tol(tol)
     factor = factorize_spd(pencil.a)
 
     # Passed without a name, so the sweeps can drop the start block after its last use.
@@ -428,7 +435,7 @@ class _VCycle:
             weights = (JACOBI_DAMPING / a_csr.diagonal())[:, None]
             self.levels.append((a_csr, weights, p, p.T))
             a_csr = (p.T.tocsr() @ a_csr @ p).tocsr()
-        self.coarse = factorize_spd(0.5 * (a_csr + a_csr.T))
+        self.coarse = factorize_spd(_sym(a_csr))
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         shape = r.shape
@@ -582,8 +589,7 @@ def dense_oracle(pencil: Pencil, k: int) -> EigenSolution:
     n = pencil.dimension
     if n > DENSE_ORACLE_MAX_DIM:
         raise ValueError(f"dense oracle limited to dimension {DENSE_ORACLE_MAX_DIM}, got {n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be between 1 and {n}, got {k}")
+    _check_k(k, n)
     a = pencil.a.toarray()
     b = pencil.b.toarray()
     try:

@@ -143,8 +143,8 @@ def build_dof_map(mesh: Mesh, family: str) -> DofMap:
     # Each spent temporary is freed at once: glibc keeps freed heap resident,
     # and freeing them only on return left 24 MB more of it after the slit
     # level-512 map (assemble benchmark peak 284 MB against 272 MB).
-    heads = tris[:, [1, 2, 0]].ravel()
-    tails = tris[:, [2, 0, 1]].ravel()
+    heads = tris[:, EDGE_STARTS].ravel()
+    tails = tris[:, EDGE_ENDS].ravel()
     keys = np.minimum(heads, tails)
     keys *= nv
     keys += np.maximum(heads, tails)
@@ -278,10 +278,6 @@ def _coefficient_values(coeff: CoefficientField, x: np.ndarray, y: np.ndarray) -
     return alpha, beta
 
 
-# Vertex q's two neighbours in cyclic order span the edge opposite q.
-_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
-
-
 def _corners(mesh: Mesh, block: slice) -> tuple[np.ndarray, np.ndarray]:
     """Corner coordinates ``x, y`` of a block of triangles, each shape (n, 3)."""
     tris = mesh.triangles[block]
@@ -290,7 +286,7 @@ def _corners(mesh: Mesh, block: slice) -> tuple[np.ndarray, np.ndarray]:
 
 def _quadrature_points(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The edge midpoints of triangles with corners ``x, y``: point q is opposite vertex q."""
-    return 0.5 * (x[:, _NEXT] + x[:, _PREV]), 0.5 * (y[:, _NEXT] + y[:, _PREV])
+    return tuple(0.5 * (c[:, EDGE_STARTS] + c[:, EDGE_ENDS]) for c in (x, y))
 
 
 def _element_entries(x: np.ndarray, y: np.ndarray, family: str, coeff: CoefficientField,
@@ -298,10 +294,10 @@ def _element_entries(x: np.ndarray, y: np.ndarray, family: str, coeff: Coefficie
     """Write the ``_LOCAL_PAIRS`` entries of the element matrices of ``a(u, v)``
     on triangles with corners ``x, y`` into ``out``."""
     alpha, beta = _coefficient_values(coeff, *_quadrature_points(x, y))
-    # The edge opposite vertex q, turned a quarter turn counterclockwise,
+    # Local edge q, opposite vertex q, turned a quarter turn counterclockwise,
     # over det, is the gradient of barycentric coordinate q.
-    gx = y[:, _NEXT] - y[:, _PREV]
-    gy = x[:, _PREV] - x[:, _NEXT]
+    gx = y[:, EDGE_STARTS] - y[:, EDGE_ENDS]
+    gy = x[:, EDGE_ENDS] - x[:, EDGE_STARTS]
     det = gx[:, 1] * gy[:, 2] - gx[:, 2] * gy[:, 1]
     w = (0.5 * det / 3.0)[:, None]
     # The Crouzeix-Raviart basis functions are 1 - 2*lambda.

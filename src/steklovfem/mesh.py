@@ -42,7 +42,11 @@ LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
 # Start and end vertex of each local edge, as index arrays.
 EDGE_STARTS, EDGE_ENDS = np.array(LOCAL_EDGES).T
 
-_KINDS = ("square", "lshape", "slit")
+# Area, perimeter (both slit sides count), largest interior angle and reentrant corner.
+_DOMAIN_FACTS = {"square": (1.0, 4.0, 0.5 * math.pi, None),
+                 "lshape": (0.75, 4.0, 1.5 * math.pi, (0.5, 0.5)),
+                 "slit": (1.0, 5.0, 2.0 * math.pi, (0.5, 0.5))}
+_KINDS = tuple(_DOMAIN_FACTS)
 
 
 class InvalidLevelError(ValueError):
@@ -73,28 +77,21 @@ class DomainSpec:
 
     @property
     def area(self) -> float:
-        return 0.75 if self.kind == "lshape" else 1.0
+        return _DOMAIN_FACTS[self.kind][0]
 
     @property
     def perimeter(self) -> float:
-        # The slit contributes both of its sides to the boundary.
-        return 5.0 if self.kind == "slit" else 4.0
+        return _DOMAIN_FACTS[self.kind][1]
 
     @property
     def corner(self) -> tuple[float, float] | None:
         """Reentrant corner location, or None for the convex square."""
-        if self.kind == "square":
-            return None
-        return (0.5, 0.5)
+        return _DOMAIN_FACTS[self.kind][3]
 
     @property
     def corner_angle(self) -> float:
         """Largest interior angle of the domain."""
-        if self.kind == "square":
-            return 0.5 * math.pi
-        if self.kind == "lshape":
-            return 1.5 * math.pi
-        return 2.0 * math.pi
+        return _DOMAIN_FACTS[self.kind][2]
 
     @property
     def expected_r(self) -> float:
@@ -104,9 +101,7 @@ class DomainSpec:
         eigenfunctions at ``h**(r + 1/2)``; ``r = pi/corner_angle`` capped
         at 1 for the convex square.
         """
-        if self.kind == "square":
-            return 1.0
-        return math.pi / self.corner_angle
+        return min(1.0, math.pi / self.corner_angle)
 
 
 @dataclass
@@ -177,7 +172,7 @@ def _validate_level(domain: DomainSpec, level: int) -> None:
         raise InvalidLevelError(f"level must be an integer, got {level!r}")
     if level < 2:
         raise InvalidLevelError(f"level must be at least 2, got {level}")
-    if domain.kind in ("lshape", "slit") and level % 2:
+    if domain.corner is not None and level % 2:
         raise InvalidLevelError(
             f"{domain.kind} requires an even level so the corner sits on the grid, got {level}"
         )
@@ -293,12 +288,13 @@ class Refinement:
     parent_of: np.ndarray
 
 
-def _check_nesting(coarse: Mesh, fine: Mesh) -> None:
-    """Raise :class:`NestingError` unless ``fine`` refines ``coarse`` on the same grid."""
+def _check_nesting(coarse: Mesh, fine: Mesh) -> int:
+    """The ratio of the levels; :class:`NestingError` unless ``fine`` refines ``coarse``."""
     if fine.domain.kind != coarse.domain.kind or fine.level % coarse.level:
         raise NestingError(
             f"{fine.domain.kind} level {fine.level} does not refine "
             f"{coarse.domain.kind} level {coarse.level}")
+    return fine.level // coarse.level
 
 
 def _grid_points(mesh: Mesh, ids=slice(None)) -> np.ndarray:
@@ -332,8 +328,7 @@ def ancestor_map(coarse: Mesh, fine: Mesh) -> np.ndarray:
     ...
     steklovfem.mesh.NestingError: square level 6 does not refine square level 4
     """
-    _check_nesting(coarse, fine)
-    r = fine.level // coarse.level
+    r = _check_nesting(coarse, fine)
     # A fine triangle's corner 0 is its square's lower-left grid point: that
     # gives the coarse square (ci, cj) and the fine square's offset (a, b) in it.
     (ci, cj), (a, b) = np.divmod(_grid_points(fine, fine.triangles[:, 0]).T, r)
@@ -369,10 +364,10 @@ def _prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
     >>> p.shape, int(np.diff(p.indptr).max())
     ((85, 27), 2)
     """
+    r = _check_nesting(coarse, fine)
     owner = np.empty(fine.n_vertices, dtype=np.int64)
     owner[fine.triangles.ravel()] = np.repeat(np.arange(fine.n_triangles), 3)
     tris = ancestor_map(coarse, fine)[owner]
-    r = fine.level // coarse.level
     a, b = (_grid_points(fine) - r * _grid_points(coarse, coarse.triangles[tris, 0])).T
     # Odd coarse triangles are upper.  Integer numerators divided by r, not
     # 1 - a/r, so each weight is the float nearest its multiple of 1/r.

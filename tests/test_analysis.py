@@ -13,6 +13,7 @@ from steklovfem import (
     P1,
     PointFunction,
     ReferenceSpec,
+    UNIT_COEFFICIENTS,
     UndefinedRatioError,
     align_sign,
     assemble_stiffness,
@@ -28,7 +29,8 @@ from steklovfem import (
     solve_pencil,
     transfer_reference,
 )
-from steklovfem.analysis import _paired_boundary_values, _richardson_fit
+from steklovfem.analysis import _paired_boundary_values, _richardson_fit, _solve_mesh
+from steklovfem.eigen import DEFAULT_SEED, DEFAULT_TOL
 from steklovfem.fem import EDGE_GAUSS_BARY, EDGE_GAUSS_WEIGHTS, evaluate_fe_many
 from steklovfem.mesh import _prolongation, ancestor_map
 
@@ -463,6 +465,28 @@ class TestComputeReference:
         monkeypatch.setattr(analysis, "_solve_mesh", no_solve)
         with pytest.raises(ValueError, match=f"eig_index must be at least 1, got {eig_index}"):
             compute_reference(DomainSpec("lshape"), level, eig_index)
+
+    @pytest.mark.parametrize("tol", (1.0, 0.0))
+    def test_tol_checked_before_any_assembly(self, monkeypatch, tol):
+        import steklovfem.analysis as analysis
+
+        monkeypatch.setattr(analysis, "assemble_stiffness", no_solve)
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1e-6\]"):
+            compute_reference(DomainSpec("slit"), 64, tol=tol)
+
+    @pytest.mark.parametrize("eig_index, start", ((29, 8), (30, None)))
+    def test_start_level_holds_the_start_solve(self, solve_mesh_calls, eig_index, start):
+        # L-shape level 8 has 32 boundary edges, one P1 boundary dof each: room
+        # for the 29 + 3 start pairs of eig_index 29, not the 33 of eig_index 30,
+        # whose level-16 reference is then solved directly.
+        ref = compute_reference(DomainSpec("lshape"), 16, eig_index=eig_index)
+        assert [call[1] for call in solve_mesh_calls[1:]] == ([start] if start else [])
+        mesh = ref.fn.mesh
+        direct = _solve_mesh(mesh, P1, UNIT_COEFFICIENTS, eig_index, DEFAULT_TOL, DEFAULT_SEED)[1]
+        assert ref.lambda_h == pytest.approx(direct.eigenvalues[-1], rel=1e-9)
+        if start is None:
+            assert ref.lambda_h == direct.eigenvalues[-1]
+            assert ref.lambda_h == pytest.approx(35.8476, abs=1e-4)
 
     def test_one_factor_free_call(self, solve_mesh_calls):
         # The nested call is the direct start solve on the third halving.

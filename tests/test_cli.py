@@ -296,6 +296,30 @@ class TestStudyCommand:
         assert run_cli(*args, "--out", str(b), capsys=capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_bad_tol_fails_before_any_assembly(self, monkeypatch, capsys):
+        from steklovfem import analysis
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("no matrix may be assembled for a bad tol")
+
+        monkeypatch.setattr(analysis, "assemble_stiffness", no_assembly)
+        code, _, err = run_study("--tol", "1", capsys=capsys)
+        assert code == 1
+        assert "tol must lie in (0, 1e-6], got 1.0" in err
+
+    def test_prints_cluster_warnings(self, monkeypatch, capsys):
+        from steklovfem import analysis
+
+        # Every level warns, once for each neighbour of lambda_2.
+        monkeypatch.setattr(analysis, "CLUSTER_GAP_TOL", 1e9)
+        code, out, _ = run_cli("study", "--domain", "lshape", "--element", "p1",
+                               "--min-level", "8", "--max-level", "16", "--ref-level", "32",
+                               capsys=capsys)
+        assert code == 0
+        warnings = [line for line in out.splitlines() if line.startswith("warning: ")]
+        assert [w.split(":")[1] for w in warnings] == [" level 8"] * 2 + [" level 16"] * 2
+        assert all("sits in a cluster" in w for w in warnings)
+
     def test_level_flag_validation(self, capsys):
         code, _, err = run_cli("study", "--domain", "square", "--element", "p1",
                                "--min-level", "12", "--max-level", "24",

@@ -329,6 +329,15 @@ class TestSolvePencilSmall:
         assert gram == pytest.approx(np.eye(k), abs=1e-12)
         assert (sol.residual_norms <= DEFAULT_TOL).all()
 
+    def test_zero_block_collapses_into_the_kernel_of_b(self, get_pencil):
+        def no_inverse(rhs):
+            raise AssertionError("the first sweep applies no inverse")
+
+        pencil = get_pencil("square", 4, P1)
+        with pytest.raises(ConvergenceFailureError, match="collapsed into the kernel of B"):
+            eigen._rayleigh_ritz_sweeps(pencil, np.zeros((pencil.dimension, 2)), 2,
+                                        DEFAULT_TOL, no_inverse)
+
     def test_dense_oracle_dimension_cap(self):
         big = diag_sparse(np.ones(DENSE_ORACLE_MAX_DIM + 1))
         with pytest.raises(ValueError, match="dense oracle"):
