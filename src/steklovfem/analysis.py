@@ -19,8 +19,14 @@ spectrum of that start level sets the block width (:func:`_block_width`):
 LOBPCG runs as long as its slowest column, so the block gets spare columns
 past the ``k`` wanted ones only when no gap of ratio ``REFERENCE_GAP_RATIO``
 follows ``lambda_k``, and then ends at the first such gap or after
-``REFERENCE_SPARE_COLUMNS`` spares.  The study levels, their P1 twins and
-``steklovfem solve`` take the direct path of the same function, :func:`_solve_mesh`.
+``REFERENCE_SPARE_COLUMNS`` spares.  After the reference level, the solve
+goes on to each hierarchy level above the start level, for one pair past
+the wanted ones, from the start block prolonged there, so that one upward
+pass over the hierarchy (cascadic multigrid, Bornemann & Deuflhard, Numer.
+Math. 75, 1996) yields a whole P1 study.  A convergence study takes those
+eigenpairs, and the start level's, for its own levels; CR levels, the
+other P1 levels and ``steklovfem solve`` take the direct path of the same
+function, :func:`_solve_mesh`.
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from . import fem
-from .eigen import (DEFAULT_SEED, DEFAULT_TOL, EigenSolution, Pencil, _check_tol,
-                    _multigrid_eigenpairs, solve_pencil)
+from .eigen import (DEFAULT_SEED, DEFAULT_TOL, ConvergenceFailureError, EigenSolution, Pencil,
+                    _check_k, _check_tol, _multigrid_eigenpairs, solve_pencil)
 from .fem import (P1, CoefficientField, DofMap, UNIT_COEFFICIENTS,
                   assemble_boundary_mass, assemble_stiffness, build_dof_map,
                   evaluate_fe_many)
@@ -258,13 +264,21 @@ class ReferenceSpec:
 
 @dataclass
 class ReferenceSolution:
-    """A conforming eigenfunction on the reference mesh, sign-normalized."""
+    """A conforming eigenfunction on the reference mesh, sign-normalized.
+
+    ``levels`` holds the P1 eigenpairs, at least ``eig_index + 1`` of them,
+    that the solve found on the coarser levels of its hierarchy, by level;
+    ``coeff`` and ``tol`` are what it was solved with.
+    """
 
     domain: DomainSpec
     level: int
     eig_index: int
     fn: FeFunction
     lambda_h: float
+    levels: dict[int, EigenSolution]
+    coeff: CoefficientField
+    tol: float
 
 
 def _multigrid_levels(domain: DomainSpec, level: int) -> list[int]:
@@ -285,7 +299,8 @@ def _block_width(eigenvalues: np.ndarray, k: int) -> int:
     The smallest ``m >= k`` with ``lambda_{m+1} >= REFERENCE_GAP_RATIO *
     lambda_m``, so that the block's slowest column still converges at the
     rate of a gap; ``k + REFERENCE_SPARE_COLUMNS`` if no such gap shows
-    among the ``k + REFERENCE_SPARE_COLUMNS`` eigenvalues given.
+    among the first ``k + REFERENCE_SPARE_COLUMNS`` eigenvalues, clipped to
+    the number of eigenvalues given.
 
     Examples
     --------
@@ -295,16 +310,25 @@ def _block_width(eigenvalues: np.ndarray, k: int) -> int:
     4
     >>> _block_width(np.array([0.5, 1.0, 1.2, 1.4, 1.6]), 2)
     5
+    >>> _block_width(np.array([0.5, 1.0, 1.2, 1.4, 1.6]), 3)
+    5
     """
-    for m in range(k, k + REFERENCE_SPARE_COLUMNS):
+    widest = min(k + REFERENCE_SPARE_COLUMNS, len(eigenvalues))
+    for m in range(k, widest):
         if eigenvalues[m] >= REFERENCE_GAP_RATIO * eigenvalues[m - 1]:
             return m
-    return k + REFERENCE_SPARE_COLUMNS
+    return widest
+
+
+def _pencil(mesh: Mesh, dofmap: DofMap, coeff: CoefficientField) -> Pencil:
+    return Pencil(assemble_stiffness(mesh, dofmap, coeff), assemble_boundary_mass(mesh, dofmap))
 
 
 def _solve_mesh(mesh: Mesh, family: str, coeff: CoefficientField, k: int, tol: float,
-                seed: int, factor_free: bool = False) -> tuple[DofMap, EigenSolution]:
-    """Dof map and ``k`` smallest eigenpairs of the pencil of ``mesh``.
+                seed: int, factor_free: bool = False
+                ) -> tuple[DofMap, EigenSolution, dict[int, EigenSolution]]:
+    """Dof map and ``k`` smallest eigenpairs of the pencil of ``mesh``, and
+    the P1 eigenpairs of its hierarchy levels by level.
 
     The pencil is solved directly (:func:`~.eigen.solve_pencil`) unless
     ``factor_free`` is set and an allowed start level has one P1 boundary
@@ -313,18 +337,24 @@ def _solve_mesh(mesh: Mesh, family: str, coeff: CoefficientField, k: int, tol: f
     stiffness matrix is SPD by construction, so a multigrid hierarchy of
     halved P1 levels preconditions LOBPCG, started from the prolonged
     eigenvectors of that direct solve on the deepest such level (Xu & Zhou's
-    two-grid idea, Math. Comp. 70, 2001; see the module docstring).
+    two-grid idea, Math. Comp. 70, 2001; see the module docstring).  After
+    this level, each hierarchy level between it and the start level is
+    solved the same way for ``k + 1`` pairs, started from the start block
+    prolonged to it, over the V-cycle of its own halvings.  The returned
+    levels are those and the start level; a level whose solve does not
+    converge is left out.  A direct solve returns none.
     """
     _check_tol(tol)
     levels = _multigrid_levels(mesh.domain, mesh.level) if factor_free else [mesh.level]
     dofmap = build_dof_map(mesh, family)
-    pencil = Pencil(assemble_stiffness(mesh, dofmap, coeff), assemble_boundary_mass(mesh, dofmap))
+    _check_k(k, dofmap.n_dofs)
+    pencil = _pencil(mesh, dofmap, coeff)
     meshes = [mesh] + [generate_mesh(mesh.domain, lvl) for lvl in levels[1:]]
     start_index = min(MULTIGRID_START_HALVINGS, len(levels) - 1)
     while start_index and meshes[start_index].n_boundary_edges < k + REFERENCE_SPARE_COLUMNS:
         start_index -= 1
     if not start_index:
-        return dofmap, solve_pencil(pencil, k, tol=tol, seed=seed)
+        return dofmap, solve_pencil(pencil, k, tol=tol, seed=seed), {}
     prolongations = [_prolongation(coarse, fine) for fine, coarse in zip(meshes, meshes[1:])]
     coarse = _solve_mesh(meshes[start_index], P1, coeff, k + REFERENCE_SPARE_COLUMNS, tol,
                          seed)[1]
@@ -332,7 +362,27 @@ def _solve_mesh(mesh: Mesh, family: str, coeff: CoefficientField, k: int, tol: f
     del meshes, coarse
     for p in reversed(prolongations[:start_index]):
         start = p @ start
-    return dofmap, _multigrid_eigenpairs(pencil, prolongations, start, k, tol)
+    sol = _multigrid_eigenpairs(pencil, prolongations, start, k, tol)
+    del pencil, start
+    # The start solve again, to the same bits: kept through the LOBPCG above,
+    # its block (128 KB at level 64) would sit on that LOBPCG's peak.
+    start_mesh = generate_mesh(mesh.domain, levels[start_index])
+    coarse = solve_pencil(_pencil(start_mesh, build_dof_map(start_mesh, P1), coeff),
+                          k + REFERENCE_SPARE_COLUMNS, tol=tol, seed=seed)
+    solved = {levels[start_index]: coarse}
+    width = _block_width(coarse.eigenvalues, k + 1)
+    for i in range(start_index - 1, 0, -1):
+        level_mesh = generate_mesh(mesh.domain, levels[i])
+        level_pencil = _pencil(level_mesh, build_dof_map(level_mesh, P1), coeff)
+        start = coarse.eigenvectors[:, :width]
+        for p in reversed(prolongations[i:start_index]):
+            start = p @ start
+        try:
+            solved[levels[i]] = _multigrid_eigenpairs(level_pencil, prolongations[i:], start,
+                                                      k + 1, tol)
+        except ConvergenceFailureError:
+            pass  # the level is left to a direct solve
+    return dofmap, sol, solved
 
 
 def _check_eig_index(eig_index: int) -> None:
@@ -346,20 +396,22 @@ def compute_reference(domain: DomainSpec, level: int, eig_index: int = 2,
     """Solve the conforming P1 problem on the reference mesh.
 
     The solve factors no matrix of the reference level (see
-    :func:`_solve_mesh`).  The eigenfunction sign is normalized so
-    that its largest-magnitude boundary dof value is positive, making the
-    reference deterministic.
+    :func:`_solve_mesh`), and keeps the eigenpairs of the hierarchy levels
+    it solves on the way for the study levels.  The eigenfunction sign is
+    normalized so that its largest-magnitude boundary dof value is positive,
+    making the reference deterministic.
     """
     _check_eig_index(eig_index)
     mesh = generate_mesh(domain, level)
-    dofmap, sol = _solve_mesh(mesh, P1, coeff, eig_index, tol, seed, factor_free=True)
+    dofmap, sol, levels = _solve_mesh(mesh, P1, coeff, eig_index, tol, seed, factor_free=True)
     values = sol.eigenvectors[:, eig_index - 1].copy()
     bvals = values[dofmap.boundary_dofs]
     if bvals[np.argmax(np.abs(bvals))] < 0.0:
         values = -values
     return ReferenceSolution(domain=domain, level=level, eig_index=eig_index,
                              fn=FeFunction(mesh, dofmap, values),
-                             lambda_h=float(sol.eigenvalues[eig_index - 1]))
+                             lambda_h=float(sol.eigenvalues[eig_index - 1]),
+                             levels=levels, coeff=coeff, tol=tol)
 
 
 def _richardson_fit(levels: Sequence[int], lambdas: Sequence[float], rate: float) -> float:
@@ -451,8 +503,12 @@ def run_convergence_study(domain: DomainSpec, family: str, levels: Sequence[int]
     sign-aligned to the transferred reference, and the boundary L2 error is
     measured on the reference partition.  A Richardson reference fits the
     conforming eigenvalues of the three finest levels, which a CR study
-    solves in the same pass.  Ratios compare a level with the next finer one
-    and sit on the coarser row; the finest row has none.
+    solves in the same pass.  P1 eigenpairs that the reference solve found
+    on its own hierarchy (:attr:`ReferenceSolution.levels`) are taken as
+    they are, when the reference was solved with this ``coeff`` object and
+    this ``tol``; every other level is solved directly.  Ratios compare a
+    level with the next finer one and sit on the coarser row; the finest
+    row has none.
 
     Parameters
     ----------
@@ -489,13 +545,21 @@ def run_convergence_study(domain: DomainSpec, family: str, levels: Sequence[int]
         if not ok:
             raise ValueError("reference solution does not match the study configuration")
 
+    reused = (reference_solution.levels if reference_solution.coeff is coeff
+              and reference_solution.tol == tol else {})
+
+    def solve(mesh: Mesh, family: str) -> tuple[DofMap, EigenSolution]:
+        if family == P1 and mesh.level in reused:
+            return build_dof_map(mesh, P1), reused[mesh.level]
+        return _solve_mesh(mesh, family, coeff, eig_index + 1, tol, seed)[:2]
+
     fit_levels = levels[-3:] if mode == "richardson" else []
     lambda_hs: list[float] = []
     u_errors: list[float] = []
     fit_lambdas: list[float] = []
     for lvl in levels:
         mesh = generate_mesh(domain, lvl)
-        dofmap, sol = _solve_mesh(mesh, family, coeff, eig_index + 1, tol, seed)
+        dofmap, sol = solve(mesh, family)
         lam = sol.eigenvalues
         target = float(lam[eig_index - 1])
         for nb in (eig_index - 2, eig_index):
@@ -511,8 +575,8 @@ def run_convergence_study(domain: DomainSpec, family: str, levels: Sequence[int]
         lambda_hs.append(target)
         if lvl in fit_levels:
             del dofmap, sol, u_h, trace  # a CR solution is freed before its P1 twin is solved
-            fit_lambdas.append(target if family == P1 else float(_solve_mesh(
-                mesh, P1, coeff, eig_index + 1, tol, seed)[1].eigenvalues[eig_index - 1]))
+            fit_lambdas.append(target if family == P1 else float(
+                solve(mesh, P1)[1].eigenvalues[eig_index - 1]))
     if fit_levels:
         reference_lambda = _richardson_fit(fit_levels, fit_lambdas, 2.0 * domain.expected_r)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 from steklovfem import (
     AmbiguousAlignmentError,
     CR,
+    ConvergenceFailureError,
     DomainSpec,
     FeFunction,
     NestingError,
@@ -635,14 +637,20 @@ class TestRunConvergenceStudy:
     @pytest.mark.parametrize("family, mode, families", (
         (P1, "bracket", (P1,)), (CR, "richardson", (CR, P1))))
     def test_one_direct_solve_per_level(self, solve_mesh_calls, family, mode, families):
-        # A CR Richardson study adds the P1 twin of each fitted level.
+        # A CR Richardson study adds the P1 twin of each fitted level.  P1
+        # levels that the reference solved on its hierarchy are not solved
+        # again; with no such levels, every level is solved directly.
         domain = DomainSpec("lshape")
         ref = compute_reference(domain, 64)
-        solve_mesh_calls.clear()
-        run_convergence_study(domain, family, [8, 16, 32], reference_solution=ref,
-                              reference=ReferenceSpec(mode=mode, level=64))
-        assert solve_mesh_calls == [("lshape", lvl, f, 3, False, 0)
-                                    for lvl in (8, 16, 32) for f in families]
+        assert sorted(ref.levels) == [8, 16, 32]
+        for levels in (ref.levels, {}):
+            ref.levels = levels
+            solve_mesh_calls.clear()
+            run_convergence_study(domain, family, [8, 16, 32], reference_solution=ref,
+                                  reference=ReferenceSpec(mode=mode, level=64))
+            assert solve_mesh_calls == [("lshape", lvl, f, 3, False, 0)
+                                        for lvl in (8, 16, 32) for f in families
+                                        if not (f == P1 and lvl in levels)]
 
     def test_richardson_needs_three_levels(self):
         with pytest.raises(ValueError, match="three study levels"):
@@ -666,3 +674,88 @@ class TestRunConvergenceStudy:
             run_convergence_study(DomainSpec("lshape"), P1, [8, 16, 32], eig_index=1,
                                   reference=ReferenceSpec(level=64),
                                   reference_solution=ref)
+
+
+class TestReferenceLevels:
+    """A P1 study takes the eigenpairs that its reference solved on its hierarchy.
+
+    The L-shape level-128 reference halves to 64, 32, 16 and 8 and starts
+    from a direct solve at 16, so it also holds levels 16, 32 and 64.
+    """
+
+    LEVELS = [8, 16, 32, 64]
+    SPEC = ReferenceSpec("bracket", 128)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return compute_reference(DomainSpec("lshape"), 128)
+
+    def study(self, reference, **kwargs):
+        return run_convergence_study(DomainSpec("lshape"), P1, self.LEVELS, reference=self.SPEC,
+                                     reference_solution=reference, **kwargs)
+
+    def test_factors_only_the_level_below_the_start_level(self, reference, monkeypatch):
+        from steklovfem import eigen
+
+        factorize, dimensions = eigen.factorize_spd, []
+
+        def tracked(matrix):
+            dimensions.append(matrix.shape[0])
+            return factorize(matrix)
+
+        assert sorted(reference.levels) == [16, 32, 64]
+        monkeypatch.setattr(eigen, "factorize_spd", tracked)
+        self.study(reference)
+        assert dimensions == [build_dof_map(generate_mesh(DomainSpec("lshape"), 8), P1).n_dofs]
+
+    def test_levels_match_direct_solves(self, reference):
+        direct = self.study(reference, coeff=dataclasses.replace(UNIT_COEFFICIENTS))
+        reused = self.study(reference)
+        for got, want in zip(reused.rows, direct.rows):
+            assert got.lambda_h == pytest.approx(want.lambda_h, rel=1e-9)
+            assert got.u_error == pytest.approx(want.u_error, abs=1e-8)
+        for lvl, sol in reference.levels.items():
+            mesh = generate_mesh(DomainSpec("lshape"), lvl)
+            dofmap, want, _ = _solve_mesh(mesh, P1, UNIT_COEFFICIENTS, 3, DEFAULT_TOL,
+                                          DEFAULT_SEED)
+            assert sol.eigenvalues[:3] == pytest.approx(want.eigenvalues, rel=1e-9)
+            bd = dofmap.boundary_dofs
+            u, v = sol.eigenvectors[bd, :3], want.eigenvectors[bd]
+            assert np.abs(u * np.sign(np.einsum("ij,ij->j", u, v)) - v).max() <= 1e-8
+
+    def test_start_level_is_the_start_solve(self, reference):
+        # The start level is solved again after the reference level, to the same bits.
+        mesh = generate_mesh(DomainSpec("lshape"), 16)
+        want = _solve_mesh(mesh, P1, UNIT_COEFFICIENTS, 5, DEFAULT_TOL, DEFAULT_SEED)[1]
+        got = reference.levels[16]
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+
+    @pytest.mark.parametrize("change", ("coeff", "tol"))
+    def test_other_settings_solve_every_level(self, reference, solve_mesh_calls, change):
+        # An equal coefficient field that is another object does not count as the same.
+        kwargs = ({"coeff": dataclasses.replace(UNIT_COEFFICIENTS)} if change == "coeff"
+                  else {"tol": 1e-9})
+        self.study(reference, **kwargs)
+        assert solve_mesh_calls == [("lshape", lvl, P1, 3, False, 0) for lvl in self.LEVELS]
+
+    def test_unconverged_level_is_solved_directly(self, reference, solve_mesh_calls,
+                                                  monkeypatch):
+        import steklovfem.analysis as analysis
+
+        multigrid = analysis._multigrid_eigenpairs
+        level_64 = build_dof_map(generate_mesh(DomainSpec("lshape"), 64), P1).n_dofs
+
+        def failing(pencil, *args):
+            if pencil.dimension == level_64:
+                raise ConvergenceFailureError("no convergence", np.zeros(3), np.ones(3))
+            return multigrid(pencil, *args)
+
+        monkeypatch.setattr(analysis, "_multigrid_eigenpairs", failing)
+        partial = compute_reference(DomainSpec("lshape"), 128)
+        assert sorted(partial.levels) == [16, 32]
+        assert np.array_equal(partial.fn.values, reference.fn.values)
+        solve_mesh_calls.clear()
+        table = self.study(partial)
+        assert [call[1] for call in solve_mesh_calls] == [8, 64]
+        assert table.to_csv() == self.study(reference).to_csv()

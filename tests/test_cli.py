@@ -253,6 +253,21 @@ class TestSolveCommand:
         assert err.startswith("steklovfem: error: ") and err.count("\n") == 1
         assert str(target) in err
 
+    @pytest.mark.parametrize("excess", (None, 1))
+    def test_bad_k_fails_before_any_assembly(self, get_dofmap, monkeypatch, capsys, excess):
+        from steklovfem import analysis
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("no matrix may be assembled for a bad k")
+
+        n = get_dofmap("slit", 16, CR).n_dofs
+        k = 0 if excess is None else n + excess
+        monkeypatch.setattr(analysis, "assemble_stiffness", no_assembly)
+        code, out, err = run_cli("solve", "--domain", "slit", "--level", "16", "--element", "cr",
+                                 "--k", str(k), capsys=capsys)
+        assert code == 1 and out == ""
+        assert f"k must be between 1 and {n}, got {k}" in err
+
     def test_lshape_cr_level_512_converges(self, capsys):
         # Exited 2 after 500 sweeps while the sweeps' solves were unrefined.
         code, out, _ = run_cli("solve", "--domain", "lshape", "--level", "512",
