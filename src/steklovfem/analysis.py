@@ -19,14 +19,12 @@ spectrum of that start level sets the block width (:func:`_block_width`):
 LOBPCG runs as long as its slowest column, so the block gets spare columns
 past the ``k`` wanted ones only when no gap of ratio ``REFERENCE_GAP_RATIO``
 follows ``lambda_k``, and then ends at the first such gap or after
-``REFERENCE_SPARE_COLUMNS`` spares.  After the reference level, the solve
-goes on to each hierarchy level above the start level, for one pair past
-the wanted ones, from the start block prolonged there, so that one upward
-pass over the hierarchy (cascadic multigrid, Bornemann & Deuflhard, Numer.
-Math. 75, 1996) yields a whole P1 study.  A convergence study takes those
-eigenpairs, and the start level's, for its own levels; CR levels, the
-other P1 levels and ``steklovfem solve`` take the direct path of the same
-function, :func:`_solve_mesh`.
+``REFERENCE_SPARE_COLUMNS`` spares.  A P1 study level, or the P1 twin of a
+CR level, takes the same path when it is at least ``STUDY_FACTOR_FREE_LEVEL``
+and wants at most ``STUDY_FACTOR_FREE_PAIRS`` pairs, where it was measured
+faster than a factor on all three domains; other study levels and
+``steklovfem solve`` take the direct path of the same function,
+:func:`_solve_mesh`.
 """
 
 from __future__ import annotations
@@ -83,6 +81,10 @@ MULTIGRID_START_HALVINGS = 3
 # gap of this ratio from lambda_k on, and holds at most this many spare columns.
 REFERENCE_GAP_RATIO = 1.5
 REFERENCE_SPARE_COLUMNS = 3
+# A P1 study level at least this fine, solved for at most this many pairs,
+# takes the factor-free path of a reference.
+STUDY_FACTOR_FREE_LEVEL = 256
+STUDY_FACTOR_FREE_PAIRS = 3
 
 
 class AmbiguousAlignmentError(Exception):
@@ -264,21 +266,13 @@ class ReferenceSpec:
 
 @dataclass
 class ReferenceSolution:
-    """A conforming eigenfunction on the reference mesh, sign-normalized.
-
-    ``levels`` holds the P1 eigenpairs, at least ``eig_index + 1`` of them,
-    that the solve found on the coarser levels of its hierarchy, by level;
-    ``coeff`` and ``tol`` are what it was solved with.
-    """
+    """A conforming eigenfunction on the reference mesh, sign-normalized."""
 
     domain: DomainSpec
     level: int
     eig_index: int
     fn: FeFunction
     lambda_h: float
-    levels: dict[int, EigenSolution]
-    coeff: CoefficientField
-    tol: float
 
 
 def _multigrid_levels(domain: DomainSpec, level: int) -> list[int]:
@@ -299,8 +293,7 @@ def _block_width(eigenvalues: np.ndarray, k: int) -> int:
     The smallest ``m >= k`` with ``lambda_{m+1} >= REFERENCE_GAP_RATIO *
     lambda_m``, so that the block's slowest column still converges at the
     rate of a gap; ``k + REFERENCE_SPARE_COLUMNS`` if no such gap shows
-    among the first ``k + REFERENCE_SPARE_COLUMNS`` eigenvalues, clipped to
-    the number of eigenvalues given.
+    among the ``k + REFERENCE_SPARE_COLUMNS`` eigenvalues given.
 
     Examples
     --------
@@ -310,25 +303,16 @@ def _block_width(eigenvalues: np.ndarray, k: int) -> int:
     4
     >>> _block_width(np.array([0.5, 1.0, 1.2, 1.4, 1.6]), 2)
     5
-    >>> _block_width(np.array([0.5, 1.0, 1.2, 1.4, 1.6]), 3)
-    5
     """
-    widest = min(k + REFERENCE_SPARE_COLUMNS, len(eigenvalues))
-    for m in range(k, widest):
+    for m in range(k, k + REFERENCE_SPARE_COLUMNS):
         if eigenvalues[m] >= REFERENCE_GAP_RATIO * eigenvalues[m - 1]:
             return m
-    return widest
-
-
-def _pencil(mesh: Mesh, dofmap: DofMap, coeff: CoefficientField) -> Pencil:
-    return Pencil(assemble_stiffness(mesh, dofmap, coeff), assemble_boundary_mass(mesh, dofmap))
+    return k + REFERENCE_SPARE_COLUMNS
 
 
 def _solve_mesh(mesh: Mesh, family: str, coeff: CoefficientField, k: int, tol: float,
-                seed: int, factor_free: bool = False
-                ) -> tuple[DofMap, EigenSolution, dict[int, EigenSolution]]:
-    """Dof map and ``k`` smallest eigenpairs of the pencil of ``mesh``, and
-    the P1 eigenpairs of its hierarchy levels by level.
+                seed: int, factor_free: bool = False) -> tuple[DofMap, EigenSolution]:
+    """Dof map and ``k`` smallest eigenpairs of the pencil of ``mesh``.
 
     The pencil is solved directly (:func:`~.eigen.solve_pencil`) unless
     ``factor_free`` is set and an allowed start level has one P1 boundary
@@ -337,24 +321,19 @@ def _solve_mesh(mesh: Mesh, family: str, coeff: CoefficientField, k: int, tol: f
     stiffness matrix is SPD by construction, so a multigrid hierarchy of
     halved P1 levels preconditions LOBPCG, started from the prolonged
     eigenvectors of that direct solve on the deepest such level (Xu & Zhou's
-    two-grid idea, Math. Comp. 70, 2001; see the module docstring).  After
-    this level, each hierarchy level between it and the start level is
-    solved the same way for ``k + 1`` pairs, started from the start block
-    prolonged to it, over the V-cycle of its own halvings.  The returned
-    levels are those and the start level; a level whose solve does not
-    converge is left out.  A direct solve returns none.
+    two-grid idea, Math. Comp. 70, 2001; see the module docstring).
     """
     _check_tol(tol)
     levels = _multigrid_levels(mesh.domain, mesh.level) if factor_free else [mesh.level]
     dofmap = build_dof_map(mesh, family)
     _check_k(k, dofmap.n_dofs)
-    pencil = _pencil(mesh, dofmap, coeff)
+    pencil = Pencil(assemble_stiffness(mesh, dofmap, coeff), assemble_boundary_mass(mesh, dofmap))
     meshes = [mesh] + [generate_mesh(mesh.domain, lvl) for lvl in levels[1:]]
     start_index = min(MULTIGRID_START_HALVINGS, len(levels) - 1)
     while start_index and meshes[start_index].n_boundary_edges < k + REFERENCE_SPARE_COLUMNS:
         start_index -= 1
     if not start_index:
-        return dofmap, solve_pencil(pencil, k, tol=tol, seed=seed), {}
+        return dofmap, solve_pencil(pencil, k, tol=tol, seed=seed)
     prolongations = [_prolongation(coarse, fine) for fine, coarse in zip(meshes, meshes[1:])]
     coarse = _solve_mesh(meshes[start_index], P1, coeff, k + REFERENCE_SPARE_COLUMNS, tol,
                          seed)[1]
@@ -362,27 +341,23 @@ def _solve_mesh(mesh: Mesh, family: str, coeff: CoefficientField, k: int, tol: f
     del meshes, coarse
     for p in reversed(prolongations[:start_index]):
         start = p @ start
-    sol = _multigrid_eigenpairs(pencil, prolongations, start, k, tol)
-    del pencil, start
-    # The start solve again, to the same bits: kept through the LOBPCG above,
-    # its block (128 KB at level 64) would sit on that LOBPCG's peak.
-    start_mesh = generate_mesh(mesh.domain, levels[start_index])
-    coarse = solve_pencil(_pencil(start_mesh, build_dof_map(start_mesh, P1), coeff),
-                          k + REFERENCE_SPARE_COLUMNS, tol=tol, seed=seed)
-    solved = {levels[start_index]: coarse}
-    width = _block_width(coarse.eigenvalues, k + 1)
-    for i in range(start_index - 1, 0, -1):
-        level_mesh = generate_mesh(mesh.domain, levels[i])
-        level_pencil = _pencil(level_mesh, build_dof_map(level_mesh, P1), coeff)
-        start = coarse.eigenvectors[:, :width]
-        for p in reversed(prolongations[i:start_index]):
-            start = p @ start
+    return dofmap, _multigrid_eigenpairs(pencil, prolongations, start, k, tol)
+
+
+def _solve_study_level(mesh: Mesh, family: str, coeff: CoefficientField, k: int, tol: float,
+                       seed: int) -> tuple[DofMap, EigenSolution]:
+    """:func:`_solve_mesh` on a study level, factor-free where that is faster.
+
+    That is a P1 level of at least ``STUDY_FACTOR_FREE_LEVEL`` with at most
+    ``STUDY_FACTOR_FREE_PAIRS`` pairs; if its LOBPCG does not converge, the
+    level is solved directly.
+    """
+    if family == P1 and mesh.level >= STUDY_FACTOR_FREE_LEVEL and k <= STUDY_FACTOR_FREE_PAIRS:
         try:
-            solved[levels[i]] = _multigrid_eigenpairs(level_pencil, prolongations[i:], start,
-                                                      k + 1, tol)
+            return _solve_mesh(mesh, P1, coeff, k, tol, seed, factor_free=True)
         except ConvergenceFailureError:
-            pass  # the level is left to a direct solve
-    return dofmap, sol, solved
+            pass  # the direct path below
+    return _solve_mesh(mesh, family, coeff, k, tol, seed)
 
 
 def _check_eig_index(eig_index: int) -> None:
@@ -396,22 +371,20 @@ def compute_reference(domain: DomainSpec, level: int, eig_index: int = 2,
     """Solve the conforming P1 problem on the reference mesh.
 
     The solve factors no matrix of the reference level (see
-    :func:`_solve_mesh`), and keeps the eigenpairs of the hierarchy levels
-    it solves on the way for the study levels.  The eigenfunction sign is
-    normalized so that its largest-magnitude boundary dof value is positive,
-    making the reference deterministic.
+    :func:`_solve_mesh`).  The eigenfunction sign is normalized so
+    that its largest-magnitude boundary dof value is positive, making the
+    reference deterministic.
     """
     _check_eig_index(eig_index)
     mesh = generate_mesh(domain, level)
-    dofmap, sol, levels = _solve_mesh(mesh, P1, coeff, eig_index, tol, seed, factor_free=True)
+    dofmap, sol = _solve_mesh(mesh, P1, coeff, eig_index, tol, seed, factor_free=True)
     values = sol.eigenvectors[:, eig_index - 1].copy()
     bvals = values[dofmap.boundary_dofs]
     if bvals[np.argmax(np.abs(bvals))] < 0.0:
         values = -values
     return ReferenceSolution(domain=domain, level=level, eig_index=eig_index,
                              fn=FeFunction(mesh, dofmap, values),
-                             lambda_h=float(sol.eigenvalues[eig_index - 1]),
-                             levels=levels, coeff=coeff, tol=tol)
+                             lambda_h=float(sol.eigenvalues[eig_index - 1]))
 
 
 def _richardson_fit(levels: Sequence[int], lambdas: Sequence[float], rate: float) -> float:
@@ -503,12 +476,10 @@ def run_convergence_study(domain: DomainSpec, family: str, levels: Sequence[int]
     sign-aligned to the transferred reference, and the boundary L2 error is
     measured on the reference partition.  A Richardson reference fits the
     conforming eigenvalues of the three finest levels, which a CR study
-    solves in the same pass.  P1 eigenpairs that the reference solve found
-    on its own hierarchy (:attr:`ReferenceSolution.levels`) are taken as
-    they are, when the reference was solved with this ``coeff`` object and
-    this ``tol``; every other level is solved directly.  Ratios compare a
-    level with the next finer one and sit on the coarser row; the finest
-    row has none.
+    solves in the same pass.  Fine P1 levels with few pairs are solved
+    without a factor (:func:`_solve_study_level`).  Ratios compare a level
+    with the next finer one and sit on the coarser row; the finest row has
+    none.
 
     Parameters
     ----------
@@ -545,21 +516,13 @@ def run_convergence_study(domain: DomainSpec, family: str, levels: Sequence[int]
         if not ok:
             raise ValueError("reference solution does not match the study configuration")
 
-    reused = (reference_solution.levels if reference_solution.coeff is coeff
-              and reference_solution.tol == tol else {})
-
-    def solve(mesh: Mesh, family: str) -> tuple[DofMap, EigenSolution]:
-        if family == P1 and mesh.level in reused:
-            return build_dof_map(mesh, P1), reused[mesh.level]
-        return _solve_mesh(mesh, family, coeff, eig_index + 1, tol, seed)[:2]
-
     fit_levels = levels[-3:] if mode == "richardson" else []
     lambda_hs: list[float] = []
     u_errors: list[float] = []
     fit_lambdas: list[float] = []
     for lvl in levels:
         mesh = generate_mesh(domain, lvl)
-        dofmap, sol = solve(mesh, family)
+        dofmap, sol = _solve_study_level(mesh, family, coeff, eig_index + 1, tol, seed)
         lam = sol.eigenvalues
         target = float(lam[eig_index - 1])
         for nb in (eig_index - 2, eig_index):
@@ -575,8 +538,8 @@ def run_convergence_study(domain: DomainSpec, family: str, levels: Sequence[int]
         lambda_hs.append(target)
         if lvl in fit_levels:
             del dofmap, sol, u_h, trace  # a CR solution is freed before its P1 twin is solved
-            fit_lambdas.append(target if family == P1 else float(
-                solve(mesh, P1)[1].eigenvalues[eig_index - 1]))
+            fit_lambdas.append(target if family == P1 else float(_solve_study_level(
+                mesh, P1, coeff, eig_index + 1, tol, seed)[1].eigenvalues[eig_index - 1]))
     if fit_levels:
         reference_lambda = _richardson_fit(fit_levels, fit_lambdas, 2.0 * domain.expected_r)
 

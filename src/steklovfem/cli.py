@@ -92,8 +92,8 @@ def cmd_assemble(args) -> int:
 
 def cmd_solve(args) -> int:
     mesh = generate_mesh(DomainSpec(args.domain), args.level)
-    solution = _solve_mesh(mesh, args.element, _coefficient_field(args), args.k, args.tol,
-                           args.seed)[1]
+    _, solution = _solve_mesh(mesh, args.element, _coefficient_field(args), args.k, args.tol,
+                              args.seed)
     lines = []
     for j, (lam, res) in enumerate(zip(solution.eigenvalues, solution.residual_norms), start=1):
         lines.append(f"lambda_{j} = {lam:.8f}   residual = {res:.8e}")

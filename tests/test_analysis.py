@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -31,7 +30,8 @@ from steklovfem import (
     solve_pencil,
     transfer_reference,
 )
-from steklovfem.analysis import _paired_boundary_values, _richardson_fit, _solve_mesh
+from steklovfem.analysis import (_paired_boundary_values, _richardson_fit, _solve_mesh,
+                                 _solve_study_level)
 from steklovfem.eigen import DEFAULT_SEED, DEFAULT_TOL
 from steklovfem.fem import EDGE_GAUSS_BARY, EDGE_GAUSS_WEIGHTS, evaluate_fe_many
 from steklovfem.mesh import _prolongation, ancestor_map
@@ -637,20 +637,14 @@ class TestRunConvergenceStudy:
     @pytest.mark.parametrize("family, mode, families", (
         (P1, "bracket", (P1,)), (CR, "richardson", (CR, P1))))
     def test_one_direct_solve_per_level(self, solve_mesh_calls, family, mode, families):
-        # A CR Richardson study adds the P1 twin of each fitted level.  P1
-        # levels that the reference solved on its hierarchy are not solved
-        # again; with no such levels, every level is solved directly.
+        # A CR Richardson study adds the P1 twin of each fitted level.
         domain = DomainSpec("lshape")
         ref = compute_reference(domain, 64)
-        assert sorted(ref.levels) == [8, 16, 32]
-        for levels in (ref.levels, {}):
-            ref.levels = levels
-            solve_mesh_calls.clear()
-            run_convergence_study(domain, family, [8, 16, 32], reference_solution=ref,
-                                  reference=ReferenceSpec(mode=mode, level=64))
-            assert solve_mesh_calls == [("lshape", lvl, f, 3, False, 0)
-                                        for lvl in (8, 16, 32) for f in families
-                                        if not (f == P1 and lvl in levels)]
+        solve_mesh_calls.clear()
+        run_convergence_study(domain, family, [8, 16, 32], reference_solution=ref,
+                              reference=ReferenceSpec(mode=mode, level=64))
+        assert solve_mesh_calls == [("lshape", lvl, f, 3, False, 0)
+                                    for lvl in (8, 16, 32) for f in families]
 
     def test_richardson_needs_three_levels(self):
         with pytest.raises(ValueError, match="three study levels"):
@@ -676,25 +670,31 @@ class TestRunConvergenceStudy:
                                   reference_solution=ref)
 
 
-class TestReferenceLevels:
-    """A P1 study takes the eigenpairs that its reference solved on its hierarchy.
+class TestStudyPath:
+    """Fine P1 study levels with few pairs are solved without a factor.
 
-    The L-shape level-128 reference halves to 64, 32, 16 and 8 and starts
-    from a direct solve at 16, so it also holds levels 16, 32 and 64.
+    The threshold is lowered to level 32 here so that a level-64 study
+    reaches it; at level 32 the factor-free path starts from level 8.
     """
 
-    LEVELS = [8, 16, 32, 64]
-    SPEC = ReferenceSpec("bracket", 128)
+    STUDY = dict(levels=[8, 16, 32], reference=ReferenceSpec("bracket", 64))
 
     @pytest.fixture(scope="class")
     def reference(self):
-        return compute_reference(DomainSpec("lshape"), 128)
+        return compute_reference(DomainSpec("lshape"), 64)
 
-    def study(self, reference, **kwargs):
-        return run_convergence_study(DomainSpec("lshape"), P1, self.LEVELS, reference=self.SPEC,
-                                     reference_solution=reference, **kwargs)
+    def study(self, solution, family=P1, **kwargs):
+        return run_convergence_study(DomainSpec("lshape"), family, reference_solution=solution,
+                                     **{**self.STUDY, **kwargs})
 
-    def test_factors_only_the_level_below_the_start_level(self, reference, monkeypatch):
+    @pytest.fixture
+    def level_32(self, monkeypatch):
+        import steklovfem.analysis as analysis
+
+        monkeypatch.setattr(analysis, "STUDY_FACTOR_FREE_LEVEL", 32)
+
+    def test_fine_p1_levels_go_factor_free(self, reference, level_32, solve_mesh_calls,
+                                           monkeypatch):
         from steklovfem import eigen
 
         factorize, dimensions = eigen.factorize_spd, []
@@ -703,59 +703,66 @@ class TestReferenceLevels:
             dimensions.append(matrix.shape[0])
             return factorize(matrix)
 
-        assert sorted(reference.levels) == [16, 32, 64]
         monkeypatch.setattr(eigen, "factorize_spd", tracked)
         self.study(reference)
-        assert dimensions == [build_dof_map(generate_mesh(DomainSpec("lshape"), 8), P1).n_dofs]
+        assert [call for call in solve_mesh_calls if call[5] == 0] == [
+            ("lshape", 8, P1, 3, False, 0), ("lshape", 16, P1, 3, False, 0),
+            ("lshape", 32, P1, 3, True, 0)]
+        # Level 32 is left unfactored; levels 8 and 16, the start solve and
+        # the V-cycle's coarsest matrix are factored.
+        n_32 = build_dof_map(generate_mesh(DomainSpec("lshape"), 32), P1).n_dofs
+        assert dimensions and max(dimensions) < n_32
 
-    def test_levels_match_direct_solves(self, reference):
-        direct = self.study(reference, coeff=dataclasses.replace(UNIT_COEFFICIENTS))
-        reused = self.study(reference)
-        for got, want in zip(reused.rows, direct.rows):
+    def test_cr_levels_stay_direct(self, reference, level_32, solve_mesh_calls):
+        # Only the P1 twin of the finest fitted level reaches the threshold.
+        self.study(reference, family=CR, reference=ReferenceSpec("richardson", 64))
+        assert [call[1:5] for call in solve_mesh_calls if call[5] == 0] == [
+            (lvl, f, 3, lvl == 32 and f == P1) for lvl in (8, 16, 32) for f in (CR, P1)]
+
+    def test_more_pairs_stay_direct(self, level_32, solve_mesh_calls):
+        ref = compute_reference(DomainSpec("lshape"), 64, eig_index=3)
+        solve_mesh_calls.clear()
+        self.study(ref, eig_index=3, reference=ReferenceSpec("richardson", 64))
+        assert solve_mesh_calls == [("lshape", lvl, P1, 4, False, 0) for lvl in (8, 16, 32)]
+
+    def test_rows_match_direct_solves(self, reference, level_32, monkeypatch):
+        import steklovfem.analysis as analysis
+
+        factor_free = self.study(reference)
+        monkeypatch.setattr(analysis, "STUDY_FACTOR_FREE_LEVEL", 64)
+        direct = self.study(reference)
+        for got, want in zip(factor_free.rows, direct.rows):
             assert got.lambda_h == pytest.approx(want.lambda_h, rel=1e-9)
             assert got.u_error == pytest.approx(want.u_error, abs=1e-8)
-        for lvl, sol in reference.levels.items():
-            mesh = generate_mesh(DomainSpec("lshape"), lvl)
-            dofmap, want, _ = _solve_mesh(mesh, P1, UNIT_COEFFICIENTS, 3, DEFAULT_TOL,
-                                          DEFAULT_SEED)
-            assert sol.eigenvalues[:3] == pytest.approx(want.eigenvalues, rel=1e-9)
-            bd = dofmap.boundary_dofs
-            u, v = sol.eigenvectors[bd, :3], want.eigenvectors[bd]
-            assert np.abs(u * np.sign(np.einsum("ij,ij->j", u, v)) - v).max() <= 1e-8
 
-    def test_start_level_is_the_start_solve(self, reference):
-        # The start level is solved again after the reference level, to the same bits.
-        mesh = generate_mesh(DomainSpec("lshape"), 16)
-        want = _solve_mesh(mesh, P1, UNIT_COEFFICIENTS, 5, DEFAULT_TOL, DEFAULT_SEED)[1]
-        got = reference.levels[16]
-        assert np.array_equal(got.eigenvalues, want.eigenvalues)
-        assert np.array_equal(got.eigenvectors, want.eigenvectors)
-
-    @pytest.mark.parametrize("change", ("coeff", "tol"))
-    def test_other_settings_solve_every_level(self, reference, solve_mesh_calls, change):
-        # An equal coefficient field that is another object does not count as the same.
-        kwargs = ({"coeff": dataclasses.replace(UNIT_COEFFICIENTS)} if change == "coeff"
-                  else {"tol": 1e-9})
-        self.study(reference, **kwargs)
-        assert solve_mesh_calls == [("lshape", lvl, P1, 3, False, 0) for lvl in self.LEVELS]
-
-    def test_unconverged_level_is_solved_directly(self, reference, solve_mesh_calls,
+    def test_unconverged_level_is_solved_directly(self, reference, level_32, solve_mesh_calls,
                                                   monkeypatch):
         import steklovfem.analysis as analysis
 
-        multigrid = analysis._multigrid_eigenpairs
-        level_64 = build_dof_map(generate_mesh(DomainSpec("lshape"), 64), P1).n_dofs
-
         def failing(pencil, *args):
-            if pencil.dimension == level_64:
-                raise ConvergenceFailureError("no convergence", np.zeros(3), np.ones(3))
-            return multigrid(pencil, *args)
+            raise ConvergenceFailureError("no convergence", np.zeros(3), np.ones(3))
 
         monkeypatch.setattr(analysis, "_multigrid_eigenpairs", failing)
-        partial = compute_reference(DomainSpec("lshape"), 128)
-        assert sorted(partial.levels) == [16, 32]
-        assert np.array_equal(partial.fn.values, reference.fn.values)
-        solve_mesh_calls.clear()
-        table = self.study(partial)
-        assert [call[1] for call in solve_mesh_calls] == [8, 64]
+        table = self.study(reference)
+        assert [call[1:5] for call in solve_mesh_calls if call[5] == 0] == [
+            (8, P1, 3, False), (16, P1, 3, False), (32, P1, 3, True), (32, P1, 3, False)]
+        monkeypatch.setattr(analysis, "STUDY_FACTOR_FREE_LEVEL", 64)
         assert table.to_csv() == self.study(reference).to_csv()
+
+    def test_level_128_is_solved_directly(self, solve_mesh_calls):
+        _solve_study_level(generate_mesh(DomainSpec("lshape"), 128), P1, UNIT_COEFFICIENTS, 3,
+                           DEFAULT_TOL, DEFAULT_SEED)
+        assert solve_mesh_calls == [("lshape", 128, P1, 3, False, 0)]
+
+    @pytest.mark.parametrize("kind", ("lshape", "slit"))
+    def test_level_256_matches_the_direct_solve(self, kind, solve_mesh_calls):
+        # The square's lambda_2 and lambda_3 nearly coincide, so its
+        # eigenvectors are not compared.
+        mesh = generate_mesh(DomainSpec(kind), 256)
+        dofmap, got = _solve_study_level(mesh, P1, UNIT_COEFFICIENTS, 3, DEFAULT_TOL,
+                                         DEFAULT_SEED)
+        assert solve_mesh_calls[0] == (kind, 256, P1, 3, True, 0)
+        want = _solve_mesh(mesh, P1, UNIT_COEFFICIENTS, 3, DEFAULT_TOL, DEFAULT_SEED)[1]
+        assert got.eigenvalues == pytest.approx(want.eigenvalues, rel=1e-9)
+        u, v = got.eigenvectors[dofmap.boundary_dofs], want.eigenvectors[dofmap.boundary_dofs]
+        assert np.abs(u * np.sign(np.einsum("ij,ij->j", u, v)) - v).max() <= 1e-8

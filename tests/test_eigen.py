@@ -626,8 +626,8 @@ class TestMultigridReference:
     def test_matches_direct_solve(self, get_mesh, get_dofmap, kind, level, coeff_id):
         coeff = COEFFICIENTS[coeff_id]
         mesh, dm = get_mesh(kind, level), get_dofmap(kind, level, P1)
-        sol = analysis._solve_mesh(mesh, P1, coeff, 3, DEFAULT_TOL, eigen.DEFAULT_SEED,
-                                   factor_free=True)[1]
+        _, sol = analysis._solve_mesh(mesh, P1, coeff, 3, DEFAULT_TOL, eigen.DEFAULT_SEED,
+                                      factor_free=True)
         pencil = Pencil(assemble_stiffness(mesh, dm, coeff), assemble_boundary_mass(mesh, dm))
         direct = solve_pencil(pencil, 3)
         assert sol.eigenvalues == pytest.approx(direct.eigenvalues, rel=1e-10)
@@ -662,17 +662,12 @@ class TestMultigridReference:
         u, v = ref.fn.values, direct.eigenvectors[:, eig_index - 1]
         assert np.abs(np.sign(u @ (pencil.b @ v)) * u - v).max() <= 1e-8
 
-    @pytest.mark.parametrize("kind, width, level_width", (("lshape", 2, 3), ("slit", 2, 4),
-                                                          ("square", 4, 4)))
-    def test_block_width_follows_the_spectrum(self, monkeypatch, kind, width, level_width):
+    @pytest.mark.parametrize("kind, width", (("lshape", 2), ("slit", 2), ("square", 4)))
+    def test_block_width_follows_the_spectrum(self, monkeypatch, kind, width):
         # At eig_index 2, lambda_3 >= 1.5 lambda_2 on the L-shape and the slit
         # square, so LOBPCG needs no spare column.  The square's lambda_2 and
         # lambda_3 nearly coincide and its lambda_4 / lambda_3 is 1.40, so the
-        # block runs on to the gap after lambda_4.  The hierarchy levels 16
-        # and 32 that follow solve 3 pairs.  lambda_4 / lambda_3 is 1.97 on
-        # the L-shape, so their block has no spare column; it is 1.39 on the
-        # slit square and 1.43 on the square, so theirs ends at the gap after
-        # lambda_4.
+        # block runs on to the gap after lambda_4.
         lobpcg, widths = eigen._lobpcg, []
 
         def recorded(pencil, start, *args):
@@ -681,8 +676,7 @@ class TestMultigridReference:
 
         monkeypatch.setattr(eigen, "_lobpcg", recorded)
         compute_reference(DomainSpec(kind), 64)
-        assert widths[0] == width
-        assert widths[1:] == [level_width] * 2
+        assert widths == [width]
 
     def test_lobpcg_block_passes_the_first_sweep(self, monkeypatch):
         # LOBPCG stops on its true residual, so its block needs no PCG sweep.
@@ -1031,10 +1025,8 @@ class TestSweepsBitIdentity:
 
             monkeypatch.setattr(eigen, "_rayleigh_ritz_sweeps", recorded)
             compute_reference(DomainSpec("slit"), 64)
-        # The direct solve at the start level, the multigrid sweeps of the
-        # reference level, the start level's direct solve again, then the
-        # multigrid sweeps of the hierarchy levels 16 and 32.
-        assert len(runs["lean"]) == len(runs["oracle"]) == 5
+        # The direct solve at the start level, then the multigrid sweeps.
+        assert len(runs["lean"]) == len(runs["oracle"]) == 2
         for got, want in zip(runs["lean"], runs["oracle"]):
             assert_same_bits(got, want)
 
@@ -1049,15 +1041,11 @@ class TestSweepsBitIdentity:
 
         monkeypatch.setattr(eigen, "_rayleigh_ritz_sweeps", recorded)
         compute_reference(DomainSpec("lshape"), 64, eig_index=4)
-        # The direct solve at the start level, the multigrid sweeps of the
-        # reference level, the start level's direct solve again, then the
-        # multigrid sweeps of the hierarchy levels 16 and 32.
-        assert len(calls) == 5
-        args, got = calls[1]
+        # The direct solve at the start level, then the multigrid sweeps.
+        assert len(calls) == 2
+        args, got = calls[-1]
         assert args[1].shape[1] == 7 and args[2] == 4
-        assert [args[2] for args, _ in calls[2:]] == [7, 5, 5]
-        for args, got in calls[1:]:
-            assert_same_bits(got, reference_sweeps(*args))
+        assert_same_bits(got, reference_sweeps(*args))
 
 
 class TestSweepsMemory:
