@@ -19,12 +19,12 @@ spectrum of that start level sets the block width (:func:`_block_width`):
 LOBPCG runs as long as its slowest column, so the block gets spare columns
 past the ``k`` wanted ones only when no gap of ratio ``REFERENCE_GAP_RATIO``
 follows ``lambda_k``, and then ends at the first such gap or after
-``REFERENCE_SPARE_COLUMNS`` spares.  A P1 study level, or the P1 twin of a
-CR level, takes the same path when it is at least ``STUDY_FACTOR_FREE_LEVEL``
-and wants at most ``STUDY_FACTOR_FREE_PAIRS`` pairs, where it was measured
-faster than a factor on all three domains; other study levels and
-``steklovfem solve`` take the direct path of the same function,
-:func:`_solve_mesh`.
+``REFERENCE_SPARE_COLUMNS`` spares.  Any other P1 pencil (a study level, the
+P1 twin of a CR level, ``steklovfem solve``) takes the same path when it is at
+least ``FACTOR_FREE_LEVEL`` and wants at most ``FACTOR_FREE_PAIRS`` pairs,
+where it was measured faster than a factor on all three domains.  Other
+pencils, and any whose factor-free solve fails, are solved directly; one
+function, :func:`_solve_mesh`, holds this rule and fallback for every caller.
 """
 
 from __future__ import annotations
@@ -81,10 +81,10 @@ MULTIGRID_START_HALVINGS = 3
 # gap of this ratio from lambda_k on, and holds at most this many spare columns.
 REFERENCE_GAP_RATIO = 1.5
 REFERENCE_SPARE_COLUMNS = 3
-# A P1 study level at least this fine, solved for at most this many pairs,
-# takes the factor-free path of a reference.
-STUDY_FACTOR_FREE_LEVEL = 256
-STUDY_FACTOR_FREE_PAIRS = 3
+# A P1 pencil at least this fine, solved for at most this many pairs, takes the
+# factor-free path of a reference.
+FACTOR_FREE_LEVEL = 256
+FACTOR_FREE_PAIRS = 3
 
 
 class AmbiguousAlignmentError(Exception):
@@ -314,16 +314,21 @@ def _solve_mesh(mesh: Mesh, family: str, coeff: CoefficientField, k: int, tol: f
                 seed: int, factor_free: bool = False) -> tuple[DofMap, EigenSolution]:
     """Dof map and ``k`` smallest eigenpairs of the pencil of ``mesh``.
 
-    The pencil is solved directly (:func:`~.eigen.solve_pencil`) unless
-    ``factor_free`` is set and an allowed start level has one P1 boundary
-    dof, so one boundary edge, for each of the ``k + REFERENCE_SPARE_COLUMNS``
-    pairs of the start solve.  Then no matrix of this level is factored: the
-    stiffness matrix is SPD by construction, so a multigrid hierarchy of
-    halved P1 levels preconditions LOBPCG, started from the prolonged
-    eigenvectors of that direct solve on the deepest such level (Xu & Zhou's
-    two-grid idea, Math. Comp. 70, 2001; see the module docstring).
+    The pencil is solved directly (:func:`~.eigen.solve_pencil`) unless it
+    is P1 of level ``FACTOR_FREE_LEVEL`` or finer with ``k <=
+    FACTOR_FREE_PAIRS``, or ``factor_free`` is set (a reference), and an
+    allowed start level has one P1 boundary dof, so one boundary edge, for
+    each of the ``k + REFERENCE_SPARE_COLUMNS`` pairs of the start solve.
+    Then no matrix of this level is factored: the stiffness matrix is SPD
+    by construction, so a multigrid hierarchy of halved P1 levels
+    preconditions LOBPCG, started from the prolonged eigenvectors of that
+    direct solve on the deepest such level (Xu & Zhou's two-grid idea, Math.
+    Comp. 70, 2001; see the module docstring).  If the start solve or LOBPCG
+    raises ``ConvergenceFailureError``, the pencil is solved directly.
     """
     _check_tol(tol)
+    factor_free = factor_free or (family == P1 and mesh.level >= FACTOR_FREE_LEVEL
+                                  and k <= FACTOR_FREE_PAIRS)
     levels = _multigrid_levels(mesh.domain, mesh.level) if factor_free else [mesh.level]
     dofmap = build_dof_map(mesh, family)
     _check_k(k, dofmap.n_dofs)
@@ -332,32 +337,20 @@ def _solve_mesh(mesh: Mesh, family: str, coeff: CoefficientField, k: int, tol: f
     start_index = min(MULTIGRID_START_HALVINGS, len(levels) - 1)
     while start_index and meshes[start_index].n_boundary_edges < k + REFERENCE_SPARE_COLUMNS:
         start_index -= 1
-    if not start_index:
-        return dofmap, solve_pencil(pencil, k, tol=tol, seed=seed)
-    prolongations = [_prolongation(coarse, fine) for fine, coarse in zip(meshes, meshes[1:])]
-    coarse = _solve_mesh(meshes[start_index], P1, coeff, k + REFERENCE_SPARE_COLUMNS, tol,
-                         seed)[1]
-    start = coarse.eigenvectors[:, :_block_width(coarse.eigenvalues, k)]
-    del meshes, coarse
-    for p in reversed(prolongations[:start_index]):
-        start = p @ start
-    return dofmap, _multigrid_eigenpairs(pencil, prolongations, start, k, tol)
-
-
-def _solve_study_level(mesh: Mesh, family: str, coeff: CoefficientField, k: int, tol: float,
-                       seed: int) -> tuple[DofMap, EigenSolution]:
-    """:func:`_solve_mesh` on a study level, factor-free where that is faster.
-
-    That is a P1 level of at least ``STUDY_FACTOR_FREE_LEVEL`` with at most
-    ``STUDY_FACTOR_FREE_PAIRS`` pairs; if its LOBPCG does not converge, the
-    level is solved directly.
-    """
-    if family == P1 and mesh.level >= STUDY_FACTOR_FREE_LEVEL and k <= STUDY_FACTOR_FREE_PAIRS:
+    if start_index:
         try:
-            return _solve_mesh(mesh, P1, coeff, k, tol, seed, factor_free=True)
+            prolongations = [_prolongation(coarse, fine)
+                             for fine, coarse in zip(meshes, meshes[1:])]
+            coarse = _solve_mesh(meshes[start_index], P1, coeff, k + REFERENCE_SPARE_COLUMNS, tol,
+                                 seed)[1]
+            start = coarse.eigenvectors[:, :_block_width(coarse.eigenvalues, k)]
+            del meshes, coarse
+            for p in reversed(prolongations[:start_index]):
+                start = p @ start
+            return dofmap, _multigrid_eigenpairs(pencil, prolongations, start, k, tol)
         except ConvergenceFailureError:
-            pass  # the direct path below
-    return _solve_mesh(mesh, family, coeff, k, tol, seed)
+            meshes = prolongations = start = None  # freed before the direct solve
+    return dofmap, solve_pencil(pencil, k, tol=tol, seed=seed)
 
 
 def _check_eig_index(eig_index: int) -> None:
@@ -370,10 +363,10 @@ def compute_reference(domain: DomainSpec, level: int, eig_index: int = 2,
                       tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> ReferenceSolution:
     """Solve the conforming P1 problem on the reference mesh.
 
-    The solve factors no matrix of the reference level (see
-    :func:`_solve_mesh`).  The eigenfunction sign is normalized so
-    that its largest-magnitude boundary dof value is positive, making the
-    reference deterministic.
+    The solve factors no matrix of the reference level unless it does not
+    converge without one (see :func:`_solve_mesh`).  The eigenfunction sign
+    is normalized so that its largest-magnitude boundary dof value is
+    positive, making the reference deterministic.
     """
     _check_eig_index(eig_index)
     mesh = generate_mesh(domain, level)
@@ -477,7 +470,7 @@ def run_convergence_study(domain: DomainSpec, family: str, levels: Sequence[int]
     measured on the reference partition.  A Richardson reference fits the
     conforming eigenvalues of the three finest levels, which a CR study
     solves in the same pass.  Fine P1 levels with few pairs are solved
-    without a factor (:func:`_solve_study_level`).  Ratios compare a level
+    without a factor (:func:`_solve_mesh`).  Ratios compare a level
     with the next finer one and sit on the coarser row; the finest row has
     none.
 
@@ -522,7 +515,7 @@ def run_convergence_study(domain: DomainSpec, family: str, levels: Sequence[int]
     fit_lambdas: list[float] = []
     for lvl in levels:
         mesh = generate_mesh(domain, lvl)
-        dofmap, sol = _solve_study_level(mesh, family, coeff, eig_index + 1, tol, seed)
+        dofmap, sol = _solve_mesh(mesh, family, coeff, eig_index + 1, tol, seed)
         lam = sol.eigenvalues
         target = float(lam[eig_index - 1])
         for nb in (eig_index - 2, eig_index):
@@ -538,7 +531,7 @@ def run_convergence_study(domain: DomainSpec, family: str, levels: Sequence[int]
         lambda_hs.append(target)
         if lvl in fit_levels:
             del dofmap, sol, u_h, trace  # a CR solution is freed before its P1 twin is solved
-            fit_lambdas.append(target if family == P1 else float(_solve_study_level(
+            fit_lambdas.append(target if family == P1 else float(_solve_mesh(
                 mesh, P1, coeff, eig_index + 1, tol, seed)[1].eigenvalues[eig_index - 1]))
     if fit_levels:
         reference_lambda = _richardson_fit(fit_levels, fit_lambdas, 2.0 * domain.expected_r)

@@ -83,25 +83,42 @@ def get_pencil(get_mesh, get_dofmap):
 
 @pytest.fixture
 def solve_mesh_calls(monkeypatch):
-    """Each ``_solve_mesh`` call as ``(domain, level, family, k, factor_free, depth)``.
+    """Each ``_solve_mesh`` call as ``(domain, level, family, k, path, depth)``.
 
-    ``depth`` is 0 for a call from outside and 1 for the start solve that the
-    factor-free path makes through itself.  The CLI's name is recorded too.
+    ``path`` names the solvers the call reached itself, in order:
+    ``"factor-free"`` (``_multigrid_eigenpairs``), ``"direct"``
+    (``solve_pencil``), or ``"factor-free, direct"`` when the factor-free
+    solve failed and the pencil was solved directly.  ``depth`` is 0 for a
+    call from outside and 1 for the start solve that the factor-free path
+    makes through itself.  The CLI's name is recorded too.  The solvers are
+    looked up in ``eigen`` at each call, so a test may replace them there.
     """
-    from steklovfem import analysis, cli
+    from steklovfem import analysis, cli, eigen
 
-    solve_mesh, calls, depth = analysis._solve_mesh, [], [0]
+    solve_mesh, calls, open_paths = analysis._solve_mesh, [], []
 
     def recorded(mesh, family, coeff, k, tol, seed, factor_free=False):
-        calls.append((mesh.domain.kind, mesh.level, family, k, factor_free, depth[0]))
-        depth[0] += 1
+        index = len(calls)
+        calls.append(None)
+        open_paths.append([])
         try:
             return solve_mesh(mesh, family, coeff, k, tol, seed, factor_free=factor_free)
         finally:
-            depth[0] -= 1
+            path = ", ".join(open_paths.pop())
+            calls[index] = (mesh.domain.kind, mesh.level, family, k, path, len(open_paths))
+
+    def reaching(path, name):
+        def solver(*args, **kwargs):
+            if open_paths:  # a solve outside every recorded call is not recorded
+                open_paths[-1].append(path)
+            return getattr(eigen, name)(*args, **kwargs)
+        return solver
 
     monkeypatch.setattr(analysis, "_solve_mesh", recorded)
     monkeypatch.setattr(cli, "_solve_mesh", recorded)
+    monkeypatch.setattr(analysis, "solve_pencil", reaching("direct", "solve_pencil"))
+    monkeypatch.setattr(analysis, "_multigrid_eigenpairs",
+                        reaching("factor-free", "_multigrid_eigenpairs"))
     return calls
 
 

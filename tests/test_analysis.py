@@ -12,11 +12,13 @@ from steklovfem import (
     FeFunction,
     NestingError,
     P1,
+    Pencil,
     PointFunction,
     ReferenceSpec,
     UNIT_COEFFICIENTS,
     UndefinedRatioError,
     align_sign,
+    assemble_boundary_mass,
     assemble_stiffness,
     boundary_l2_error,
     build_dof_map,
@@ -30,8 +32,7 @@ from steklovfem import (
     solve_pencil,
     transfer_reference,
 )
-from steklovfem.analysis import (_paired_boundary_values, _richardson_fit, _solve_mesh,
-                                 _solve_study_level)
+from steklovfem.analysis import _paired_boundary_values, _richardson_fit, _solve_mesh
 from steklovfem.eigen import DEFAULT_SEED, DEFAULT_TOL
 from steklovfem.fem import EDGE_GAUSS_BARY, EDGE_GAUSS_WEIGHTS, evaluate_fe_many
 from steklovfem.mesh import _prolongation, ancestor_map
@@ -482,6 +483,7 @@ class TestComputeReference:
         # for the 29 + 3 start pairs of eig_index 29, not the 33 of eig_index 30,
         # whose level-16 reference is then solved directly.
         ref = compute_reference(DomainSpec("lshape"), 16, eig_index=eig_index)
+        assert solve_mesh_calls[0][4] == ("factor-free" if start else "direct")
         assert [call[1] for call in solve_mesh_calls[1:]] == ([start] if start else [])
         mesh = ref.fn.mesh
         direct = _solve_mesh(mesh, P1, UNIT_COEFFICIENTS, eig_index, DEFAULT_TOL, DEFAULT_SEED)[1]
@@ -493,7 +495,8 @@ class TestComputeReference:
     def test_one_factor_free_call(self, solve_mesh_calls):
         # The nested call is the direct start solve on the third halving.
         compute_reference(DomainSpec("lshape"), 64, eig_index=2)
-        assert solve_mesh_calls == [("lshape", 64, P1, 2, True, 0), ("lshape", 8, P1, 5, False, 1)]
+        assert solve_mesh_calls == [("lshape", 64, P1, 2, "factor-free", 0),
+                                    ("lshape", 8, P1, 5, "direct", 1)]
 
     @pytest.mark.parametrize("kind, level, start", (
         ("square", 128, 16), ("slit", 64, 8), ("lshape", 256, 32),  # the third halving
@@ -501,8 +504,20 @@ class TestComputeReference:
         ("slit", 6, None)))  # no halving: a direct solve
     def test_start_level(self, solve_mesh_calls, kind, level, start):
         compute_reference(DomainSpec(kind), level, eig_index=1)
-        assert solve_mesh_calls[0] == (kind, level, P1, 1, True, 0)
+        path = "factor-free" if start else "direct"
+        assert solve_mesh_calls[0] == (kind, level, P1, 1, path, 0)
         assert [call[1] for call in solve_mesh_calls[1:]] == ([start] if start else [])
+
+    def test_square_reference_with_many_pairs_converges(self):
+        # Its factor-free solve stops at a residual of 1.3e-10; the pencil is
+        # then solved directly.
+        ref = compute_reference(DomainSpec("square"), 32, eig_index=20)
+        mesh, dofmap, u = ref.fn.mesh, ref.fn.dofmap, ref.fn.values
+        pencil = Pencil(assemble_stiffness(mesh, dofmap), assemble_boundary_mass(mesh, dofmap))
+        au = pencil.a @ u
+        residual = np.linalg.norm(au - ref.lambda_h * (pencil.b @ u)) / np.linalg.norm(au)
+        assert residual <= DEFAULT_TOL
+        assert ref.lambda_h == pytest.approx(solve_pencil(pencil, 20).eigenvalues[-1], rel=1e-12)
 
     def test_richardson_fit_recovers_exact_model(self):
         levels = [8, 16, 32]
@@ -643,7 +658,7 @@ class TestRunConvergenceStudy:
         solve_mesh_calls.clear()
         run_convergence_study(domain, family, [8, 16, 32], reference_solution=ref,
                               reference=ReferenceSpec(mode=mode, level=64))
-        assert solve_mesh_calls == [("lshape", lvl, f, 3, False, 0)
+        assert solve_mesh_calls == [("lshape", lvl, f, 3, "direct", 0)
                                     for lvl in (8, 16, 32) for f in families]
 
     def test_richardson_needs_three_levels(self):
@@ -691,7 +706,7 @@ class TestStudyPath:
     def level_32(self, monkeypatch):
         import steklovfem.analysis as analysis
 
-        monkeypatch.setattr(analysis, "STUDY_FACTOR_FREE_LEVEL", 32)
+        monkeypatch.setattr(analysis, "FACTOR_FREE_LEVEL", 32)
 
     def test_fine_p1_levels_go_factor_free(self, reference, level_32, solve_mesh_calls,
                                            monkeypatch):
@@ -706,8 +721,8 @@ class TestStudyPath:
         monkeypatch.setattr(eigen, "factorize_spd", tracked)
         self.study(reference)
         assert [call for call in solve_mesh_calls if call[5] == 0] == [
-            ("lshape", 8, P1, 3, False, 0), ("lshape", 16, P1, 3, False, 0),
-            ("lshape", 32, P1, 3, True, 0)]
+            ("lshape", 8, P1, 3, "direct", 0), ("lshape", 16, P1, 3, "direct", 0),
+            ("lshape", 32, P1, 3, "factor-free", 0)]
         # Level 32 is left unfactored; levels 8 and 16, the start solve and
         # the V-cycle's coarsest matrix are factored.
         n_32 = build_dof_map(generate_mesh(DomainSpec("lshape"), 32), P1).n_dofs
@@ -717,19 +732,21 @@ class TestStudyPath:
         # Only the P1 twin of the finest fitted level reaches the threshold.
         self.study(reference, family=CR, reference=ReferenceSpec("richardson", 64))
         assert [call[1:5] for call in solve_mesh_calls if call[5] == 0] == [
-            (lvl, f, 3, lvl == 32 and f == P1) for lvl in (8, 16, 32) for f in (CR, P1)]
+            (lvl, f, 3, "factor-free" if lvl == 32 and f == P1 else "direct")
+            for lvl in (8, 16, 32) for f in (CR, P1)]
 
     def test_more_pairs_stay_direct(self, level_32, solve_mesh_calls):
         ref = compute_reference(DomainSpec("lshape"), 64, eig_index=3)
         solve_mesh_calls.clear()
         self.study(ref, eig_index=3, reference=ReferenceSpec("richardson", 64))
-        assert solve_mesh_calls == [("lshape", lvl, P1, 4, False, 0) for lvl in (8, 16, 32)]
+        assert solve_mesh_calls == [("lshape", lvl, P1, 4, "direct", 0) for lvl in (8, 16, 32)]
 
-    def test_rows_match_direct_solves(self, reference, level_32, monkeypatch):
+    def test_rows_match_direct_solves(self, reference, level_32, solve_mesh_calls, monkeypatch):
         import steklovfem.analysis as analysis
 
         factor_free = self.study(reference)
-        monkeypatch.setattr(analysis, "STUDY_FACTOR_FREE_LEVEL", 64)
+        assert solve_mesh_calls[2] == ("lshape", 32, P1, 3, "factor-free", 0)
+        monkeypatch.setattr(analysis, "FACTOR_FREE_LEVEL", 64)
         direct = self.study(reference)
         for got, want in zip(factor_free.rows, direct.rows):
             assert got.lambda_h == pytest.approx(want.lambda_h, rel=1e-9)
@@ -738,31 +755,57 @@ class TestStudyPath:
     def test_unconverged_level_is_solved_directly(self, reference, level_32, solve_mesh_calls,
                                                   monkeypatch):
         import steklovfem.analysis as analysis
+        from steklovfem import eigen
 
         def failing(pencil, *args):
             raise ConvergenceFailureError("no convergence", np.zeros(3), np.ones(3))
 
-        monkeypatch.setattr(analysis, "_multigrid_eigenpairs", failing)
+        monkeypatch.setattr(eigen, "_multigrid_eigenpairs", failing)
         table = self.study(reference)
         assert [call[1:5] for call in solve_mesh_calls if call[5] == 0] == [
-            (8, P1, 3, False), (16, P1, 3, False), (32, P1, 3, True), (32, P1, 3, False)]
-        monkeypatch.setattr(analysis, "STUDY_FACTOR_FREE_LEVEL", 64)
+            (8, P1, 3, "direct"), (16, P1, 3, "direct"), (32, P1, 3, "factor-free, direct")]
+        monkeypatch.setattr(analysis, "FACTOR_FREE_LEVEL", 64)
         assert table.to_csv() == self.study(reference).to_csv()
 
+    def test_unconverged_start_solve_is_solved_directly(self, level_32, solve_mesh_calls,
+                                                        monkeypatch):
+        import steklovfem.analysis as analysis
+        from steklovfem import eigen
+
+        def failing_start(pencil, k, **kwargs):
+            if k == 3 + analysis.REFERENCE_SPARE_COLUMNS:
+                raise ConvergenceFailureError("no convergence", np.zeros(k), np.ones(k))
+            return solve_pencil(pencil, k, **kwargs)
+
+        monkeypatch.setattr(eigen, "solve_pencil", failing_start)
+        mesh = generate_mesh(DomainSpec("lshape"), 32)
+        dofmap, got = analysis._solve_mesh(mesh, P1, UNIT_COEFFICIENTS, 3, DEFAULT_TOL,
+                                           DEFAULT_SEED)
+        assert solve_mesh_calls == [("lshape", 32, P1, 3, "direct", 0),
+                                    ("lshape", 8, P1, 6, "direct", 1)]
+        pencil = Pencil(assemble_stiffness(mesh, dofmap), assemble_boundary_mass(mesh, dofmap))
+        assert np.array_equal(got.eigenvalues, solve_pencil(pencil, 3).eigenvalues)
+
     def test_level_128_is_solved_directly(self, solve_mesh_calls):
-        _solve_study_level(generate_mesh(DomainSpec("lshape"), 128), P1, UNIT_COEFFICIENTS, 3,
-                           DEFAULT_TOL, DEFAULT_SEED)
-        assert solve_mesh_calls == [("lshape", 128, P1, 3, False, 0)]
+        import steklovfem.analysis as analysis
+
+        analysis._solve_mesh(generate_mesh(DomainSpec("lshape"), 128), P1, UNIT_COEFFICIENTS, 3,
+                             DEFAULT_TOL, DEFAULT_SEED)
+        assert solve_mesh_calls == [("lshape", 128, P1, 3, "direct", 0)]
 
     @pytest.mark.parametrize("kind", ("lshape", "slit"))
     def test_level_256_matches_the_direct_solve(self, kind, solve_mesh_calls):
         # The square's lambda_2 and lambda_3 nearly coincide, so its
         # eigenvectors are not compared.
+        import steklovfem.analysis as analysis
+
         mesh = generate_mesh(DomainSpec(kind), 256)
-        dofmap, got = _solve_study_level(mesh, P1, UNIT_COEFFICIENTS, 3, DEFAULT_TOL,
-                                         DEFAULT_SEED)
-        assert solve_mesh_calls[0] == (kind, 256, P1, 3, True, 0)
-        want = _solve_mesh(mesh, P1, UNIT_COEFFICIENTS, 3, DEFAULT_TOL, DEFAULT_SEED)[1]
+        dofmap, got = analysis._solve_mesh(mesh, P1, UNIT_COEFFICIENTS, 3, DEFAULT_TOL,
+                                           DEFAULT_SEED)
+        assert solve_mesh_calls == [(kind, 256, P1, 3, "factor-free", 0),
+                                    (kind, 32, P1, 6, "direct", 1)]
+        pencil = Pencil(assemble_stiffness(mesh, dofmap), assemble_boundary_mass(mesh, dofmap))
+        want = solve_pencil(pencil, 3)
         assert got.eigenvalues == pytest.approx(want.eigenvalues, rel=1e-9)
         u, v = got.eigenvectors[dofmap.boundary_dofs], want.eigenvectors[dofmap.boundary_dofs]
         assert np.abs(u * np.sign(np.einsum("ij,ij->j", u, v)) - v).max() <= 1e-8

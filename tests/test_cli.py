@@ -7,15 +7,18 @@ import scipy.sparse.linalg as spla
 
 from steklovfem import (
     CR,
+    DomainSpec,
     P1,
     Pencil,
     assemble_boundary_mass,
     assemble_stiffness,
     build_dof_map,
     dense_oracle,
+    generate_mesh,
     solve_pencil,
 )
 from steklovfem.cli import _coefficient_field, build_parser, main
+from steklovfem.eigen import DEFAULT_TOL
 
 
 def run_cli(*argv, capsys=None):
@@ -207,10 +210,32 @@ class TestSolveCommand:
         code, out, _ = run_cli("solve", "--domain", kind, "--level", "16", "--element", family,
                                "--k", "3", capsys=capsys)
         assert code == 0
-        assert solve_mesh_calls == [(kind, 16, family, 3, False, 0)]
+        assert solve_mesh_calls == [(kind, 16, family, 3, "direct", 0)]
         sol = solve_pencil(get_pencil(kind, 16, family), 3)
         assert out == "".join(f"lambda_{j} = {lam:.8f}   residual = {res:.8e}\n" for j, (lam, res)
                               in enumerate(zip(sol.eigenvalues, sol.residual_norms), start=1))
+
+    def test_fine_p1_level_goes_factor_free(self, solve_mesh_calls, capsys):
+        code, out, _ = run_cli("solve", "--domain", "lshape", "--level", "256", "--element", "p1",
+                               "--k", "2", capsys=capsys)
+        assert code == 0
+        assert solve_mesh_calls == [("lshape", 256, P1, 2, "factor-free", 0),
+                                    ("lshape", 32, P1, 5, "direct", 1)]
+        mesh = generate_mesh(DomainSpec("lshape"), 256)
+        dofmap = build_dof_map(mesh, P1)
+        sol = solve_pencil(Pencil(assemble_stiffness(mesh, dofmap),
+                                  assemble_boundary_mass(mesh, dofmap)), 2)
+        printed = [ln.split("   residual = ") for ln in out.splitlines()]
+        assert [lam for lam, _ in printed] == [f"lambda_{j} = {lam:.8f}"
+                                              for j, lam in enumerate(sol.eigenvalues, start=1)]
+        assert all(float(res) <= DEFAULT_TOL for _, res in printed)
+
+    @pytest.mark.parametrize("family, k", ((P1, 5), (CR, 2)))
+    def test_wide_block_and_cr_stay_direct(self, solve_mesh_calls, capsys, family, k):
+        code, _, _ = run_cli("solve", "--domain", "lshape", "--level", "256", "--element", family,
+                             "--k", str(k), capsys=capsys)
+        assert code == 0
+        assert solve_mesh_calls == [("lshape", 256, family, k, "direct", 0)]
 
     def test_deterministic_output(self, capsys):
         args = ("solve", "--domain", "lshape", "--level", "8", "--element", "cr",

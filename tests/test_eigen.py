@@ -623,11 +623,13 @@ class TestMultigridReference:
                                              ("lshape", 256), ("slit", 256), ("slit", 6),
                                              ("lshape", 36)))
     @pytest.mark.parametrize("coeff_id", COEFFICIENTS)
-    def test_matches_direct_solve(self, get_mesh, get_dofmap, kind, level, coeff_id):
+    def test_matches_direct_solve(self, get_mesh, get_dofmap, solve_mesh_calls, kind, level,
+                                  coeff_id):
         coeff = COEFFICIENTS[coeff_id]
         mesh, dm = get_mesh(kind, level), get_dofmap(kind, level, P1)
         _, sol = analysis._solve_mesh(mesh, P1, coeff, 3, DEFAULT_TOL, eigen.DEFAULT_SEED,
                                       factor_free=True)
+        assert solve_mesh_calls[0][4] == ("direct" if level == 6 else "factor-free")
         pencil = Pencil(assemble_stiffness(mesh, dm, coeff), assemble_boundary_mass(mesh, dm))
         direct = solve_pencil(pencil, 3)
         assert sol.eigenvalues == pytest.approx(direct.eigenvalues, rel=1e-10)
