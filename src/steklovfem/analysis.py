@@ -16,15 +16,17 @@ LOBPCG.  LOBPCG starts from the prolonged eigenvectors of a direct solve on
 the third halving of the reference level or the coarsest level of a shorter
 hierarchy, moved up while it has fewer boundary dofs than start pairs.  The
 spectrum of that start level sets the block width (:func:`_block_width`):
-LOBPCG runs as long as its slowest column, so the block gets spare columns
-past the ``k`` wanted ones only when no gap of ratio ``REFERENCE_GAP_RATIO``
-follows ``lambda_k``, and then ends at the first such gap or after
-``REFERENCE_SPARE_COLUMNS`` spares.  Any other P1 pencil (a study level, the
-P1 twin of a CR level, ``steklovfem solve``) takes the same path when it is at
-least ``FACTOR_FREE_LEVEL`` and wants at most ``FACTOR_FREE_PAIRS`` pairs,
-where it was measured faster than a factor on all three domains.  Other
-pencils, and any whose factor-free solve fails, are solved directly; one
-function, :func:`_solve_mesh`, holds this rule and fallback for every caller.
+LOBPCG runs as long as its slowest wanted column, and a wanted column
+converges at the rate of the gap after the block, so the block gets spare
+columns past the ``k`` wanted ones only when no gap of ratio
+``REFERENCE_GAP_RATIO`` follows ``lambda_k``, and then ends at the first
+such gap or after ``REFERENCE_SPARE_COLUMNS`` spares.  Any other P1 pencil
+(a study level, the P1 twin of a CR level, ``steklovfem solve``) takes the
+same path when it is at least ``FACTOR_FREE_LEVEL`` and wants at most
+``FACTOR_FREE_PAIRS`` pairs, where it was measured faster than a factor on
+all three domains.  Other pencils, and any whose factor-free solve fails,
+are solved directly; one function, :func:`_solve_mesh`, holds this rule and
+fallback for every caller.
 """
 
 from __future__ import annotations
@@ -291,9 +293,9 @@ def _block_width(eigenvalues: np.ndarray, k: int) -> int:
     """LOBPCG block width for ``k`` wanted pairs, from ascending start-level eigenvalues.
 
     The smallest ``m >= k`` with ``lambda_{m+1} >= REFERENCE_GAP_RATIO *
-    lambda_m``, so that the block's slowest column still converges at the
-    rate of a gap; ``k + REFERENCE_SPARE_COLUMNS`` if no such gap shows
-    among the ``k + REFERENCE_SPARE_COLUMNS`` eigenvalues given.
+    lambda_m``, so that the wanted columns converge at the rate of a gap;
+    ``k + REFERENCE_SPARE_COLUMNS`` if no such gap shows among the ``k +
+    REFERENCE_SPARE_COLUMNS`` eigenvalues given.
 
     Examples
     --------
@@ -323,8 +325,9 @@ def _solve_mesh(mesh: Mesh, family: str, coeff: CoefficientField, k: int, tol: f
     by construction, so a multigrid hierarchy of halved P1 levels
     preconditions LOBPCG, started from the prolonged eigenvectors of that
     direct solve on the deepest such level (Xu & Zhou's two-grid idea, Math.
-    Comp. 70, 2001; see the module docstring).  If the start solve or LOBPCG
-    raises ``ConvergenceFailureError``, the pencil is solved directly.
+    Comp. 70, 2001; see the module docstring).  If the start solve or the
+    factor-free solve raises ``ConvergenceFailureError``, the pencil is
+    solved directly.
     """
     _check_tol(tol)
     factor_free = factor_free or (family == P1 and mesh.level >= FACTOR_FREE_LEVEL

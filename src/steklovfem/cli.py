@@ -104,7 +104,7 @@ def cmd_solve(args) -> int:
 def cmd_study(args) -> int:
     coeff = _coefficient_field(args)
     for name, lvl in (("min-level", args.min_level), ("max-level", args.max_level)):
-        if lvl < BASE_STUDY_LEVEL or lvl & (lvl - 1) or lvl % BASE_STUDY_LEVEL:
+        if lvl < BASE_STUDY_LEVEL or lvl & (lvl - 1):
             raise ValueError(
                 f"--{name} must be {BASE_STUDY_LEVEL} times a power of two, got {lvl}")
     if args.min_level > args.max_level:

@@ -18,17 +18,18 @@ forms ``S``.
 Reference solves on fine P1 meshes factor no matrix of their own level, so
 their memory stays linear in the number of dofs.  LOBPCG (Knyazev, SIAM J.
 Sci. Comput. 23, 2001), preconditioned by a geometric multigrid V-cycle and
-started from prolonged coarse eigenvectors, finds the dominant subspace;
-the same Rayleigh-Ritz sweeps then enforce the tolerance, applying
-``A^{-1}`` by V-cycle-preconditioned conjugate gradients in place of the
-factor.  The LOBPCG is written for this pencil: it stores its blocks as
-rows, so ``A`` and the V-cycle apply to one contiguous vector at a time,
-applies ``B`` on the boundary rows only, and holds no ``B``-image of a
-block.
+started from prolonged coarse eigenvectors, iterates until the wanted pairs
+meet the sweeps' own relative residual test; one Rayleigh-Ritz step of the
+sweeps then checks and returns them.  The LOBPCG is written for this
+pencil: it stores its blocks as rows, so ``A`` and the V-cycle apply to one
+contiguous vector at a time, applies ``B`` on the boundary rows only, and
+holds no ``B``-image of a block.
 
-Both paths share one stopping rule: at most ``MAX_SWEEPS`` sweeps, twice
-what converging runs take, then :class:`ConvergenceFailureError`, which a
-Lanczos run that stops short raises as well.
+Both paths end in :class:`ConvergenceFailureError` when the tolerance is
+missed: the factored one after ``MAX_SWEEPS`` sweeps, twice what converging
+runs take, the factor-free one after ``LOBPCG_MAXITER`` LOBPCG iterations
+and its one Rayleigh-Ritz step.  A Lanczos run that stops short raises it
+as well.
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ DEFAULT_SEED = 1729
 MAX_SWEEPS = 4
 # Multigrid reference solves (see _multigrid_eigenpairs).
 JACOBI_DAMPING = 0.8
-LOBPCG_MAXITER = 20
-PCG_RTOL = 1e-13
+LOBPCG_MAXITER = 40
 SVQB_DROP = 1e-12
 DENSE_ORACLE_MAX_DIM = 3000
 
@@ -341,14 +341,16 @@ def _refined_inverse(factor: SpdFactor,
 
 
 def _rayleigh_ritz_sweeps(pencil: Pencil, z: np.ndarray, k: int, tol: float,
-                          a_inv: Callable[[np.ndarray], np.ndarray]) -> EigenSolution:
+                          a_inv: Callable[[np.ndarray], np.ndarray] | None) -> EigenSolution:
     """Rayleigh-Ritz on ``span(z)``, then inverse subspace iteration until converged.
 
     Each sweep after the first replaces the block by ``a_inv(B u)``, where
     ``a_inv`` applies ``A^{-1}`` to a block of columns and may overwrite its
     argument, and projects again; the loop returns as soon as every
     requested pair reaches the relative residual tolerance, and raises
-    ``ConvergenceFailureError`` after ``MAX_SWEEPS`` sweeps.
+    ``ConvergenceFailureError`` after ``MAX_SWEEPS`` sweeps.  Without
+    ``a_inv`` (``None``) only the first sweep runs: the Rayleigh-Ritz step
+    checks a block that has already converged.
 
     Every ``n``-row block is dropped after its last use.  Besides its Ritz
     block a sweep holds at most two ``n x k`` blocks: the candidate vectors
@@ -365,8 +367,9 @@ def _rayleigh_ritz_sweeps(pencil: Pencil, z: np.ndarray, k: int, tol: float,
     eigenvalues = np.full(k, np.nan)
     residuals = np.full(k, np.inf)
     a_csr, bd, b_bb = pencil.a, pencil.boundary, pencil.b_bb
+    sweeps = MAX_SWEEPS if a_inv else 1
 
-    for sweep in range(MAX_SWEEPS):
+    for sweep in range(sweeps):
         if sweep:
             bx = pencil.b @ x
             del x
@@ -408,7 +411,7 @@ def _rayleigh_ritz_sweeps(pencil: Pencil, z: np.ndarray, k: int, tol: float,
         del cand, au
 
     raise ConvergenceFailureError(
-        f"subspace iteration did not reach tol={tol:g} in {MAX_SWEEPS} sweeps "
+        f"subspace iteration did not reach tol={tol:g} in {sweeps} sweep{'s' * (sweeps > 1)} "
         f"(worst residual {residuals.max():g})", eigenvalues, residuals)
 
 
@@ -420,11 +423,12 @@ class _VCycle:
     level smooths with one damped-Jacobi step before and one after its
     coarse correction, and the coarsest level is solved through
     :func:`factorize_spd`, so the cycle is a symmetric positive definite
-    approximation of ``A^{-1}``.  It applies to a vector or a block of
-    columns.  Each level restricts through ``P^T``, a CSC view that shares
-    ``P``'s arrays; its products sum in the same order as a CSR copy's.
-    The Galerkin product is formed with a temporary CSR transpose, which
-    keeps the coarse matrices' bits (the view there changes the rounding).
+    approximation of ``A^{-1}``.  It applies to one vector: LOBPCG passes
+    it one row of a block at a time.  Each level restricts through ``P^T``,
+    a CSC view that shares ``P``'s arrays; its products sum in the same
+    order as a CSR copy's.  The Galerkin product is formed with a temporary
+    CSR transpose, which keeps the coarse matrices' bits (the view there
+    changes the rounding).
     The coarsest, ``C``, is factored as its symmetric part ``(C + C^T) / 2``,
     exactly symmetric, as the factor needs, since addition commutes.
     """
@@ -432,14 +436,11 @@ class _VCycle:
     def __init__(self, a_csr: sp.csr_matrix, prolongations: list[sp.csr_matrix]):
         self.levels = []
         for p in prolongations:
-            weights = (JACOBI_DAMPING / a_csr.diagonal())[:, None]
-            self.levels.append((a_csr, weights, p, p.T))
+            self.levels.append((a_csr, JACOBI_DAMPING / a_csr.diagonal(), p, p.T))
             a_csr = (p.T.tocsr() @ a_csr @ p).tocsr()
         self.coarse = factorize_spd(_sym(a_csr))
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        shape = r.shape
-        r = r.reshape(shape[0], -1)
         pre = []
         for a, weights, _, restriction in self.levels:
             x = weights * r
@@ -449,7 +450,7 @@ class _VCycle:
         for (a, weights, p, _), (r, x_pre) in zip(reversed(self.levels), reversed(pre)):
             x = x_pre + p @ x
             x += weights * (r - a @ x)
-        return x.reshape(shape)
+        return x
 
 
 def _multigrid_eigenpairs(pencil: Pencil, prolongations: list[sp.csr_matrix],
@@ -459,43 +460,26 @@ def _multigrid_eigenpairs(pencil: Pencil, prolongations: list[sp.csr_matrix],
     LOBPCG on ``B x = mu A x`` (:func:`_lobpcg`), preconditioned by a
     :class:`_VCycle` over ``prolongations`` and started from the block
     ``start`` (at least ``k`` columns, typically prolonged coarse
-    eigenvectors), finds the dominant subspace.  LOBPCG iterates until its
-    slowest column converges, and each column costs about the same, so
-    ``start`` should hold columns past the ``k`` wanted ones only as far as
-    it takes to reach a gap after ``lambda_k`` (the reference solve reads
-    that width off a coarse spectrum).  LOBPCG bounds the absolute residual
-    ``|B x - mu A x|`` of ``A``-normalized columns, which is about the
-    relative residual times ``|B x|``, so its tolerance is ``tol`` times the
-    smallest ``|B x|`` of the start block, taken on the boundary rows, off
-    which ``B x`` vanishes, as ``|B_bb x_bd|``.  It stops on the true residual,
-    so the accuracy it reports is the one the Rayleigh-Ritz sweeps of
-    :func:`solve_pencil` then measure; near round-off that residual stalls,
-    and LOBPCG may stop at ``LOBPCG_MAXITER`` above its tolerance.  The
-    sweeps enforce ``tol``, applying ``A^{-1}`` by V-cycle-preconditioned
-    conjugate gradients; they iterate only while a residual exceeds ``tol``.
+    eigenvectors), iterates until its ``k`` wanted columns meet ``tol`` in
+    the relative residual the sweeps measure.  Each column costs about the
+    same, so ``start`` should hold columns past the ``k`` wanted ones only
+    as far as it takes to reach a gap after ``lambda_k`` (the reference
+    solve reads that width off a coarse spectrum).  One Rayleigh-Ritz step
+    of :func:`_rayleigh_ritz_sweeps` on the LOBPCG block then checks and
+    returns the pairs.
 
     Raises
     ------
     ConvergenceFailureError
-        If the residuals do not reach ``tol`` within ``MAX_SWEEPS`` sweeps.
+        If LOBPCG stops at ``LOBPCG_MAXITER`` iterations with a wanted
+        residual above ``tol``, so the Rayleigh-Ritz step misses it.
     """
-    a_csr = pencil.a
-    vcycle = _VCycle(a_csr, prolongations)
-    a_norms = np.sqrt([col @ (a_csr @ col) for col in start.T])
-    b_norms = np.linalg.norm(pencil.b_bb @ start[pencil.boundary], axis=0)
-    x = _lobpcg(pencil, start, vcycle, tol * (b_norms / a_norms).min())
-    precond = spla.LinearOperator(a_csr.shape, matvec=vcycle, dtype=float)
-
-    def a_inv(rhs: np.ndarray) -> np.ndarray:
-        # A CG run that stops short only leaves a larger residual, which the sweeps check.
-        return np.column_stack([spla.cg(a_csr, col, rtol=PCG_RTOL, M=precond)[0]
-                                for col in rhs.T])
-
-    return _rayleigh_ritz_sweeps(pencil, x, k, tol, a_inv)
+    x = _lobpcg(pencil, start, _VCycle(pencil.a, prolongations), tol, k)
+    return _rayleigh_ritz_sweeps(pencil, x, k, tol, None)
 
 
 def _lobpcg(pencil: Pencil, start: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
-            tol: float) -> np.ndarray:
+            tol: float, k: int) -> np.ndarray:
     """The dominant eigenvectors of ``B x = mu A x`` by preconditioned LOBPCG.
 
     LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) runs Rayleigh-Ritz on
@@ -519,10 +503,14 @@ def _lobpcg(pencil: Pencil, start: np.ndarray, precond: Callable[[np.ndarray], n
     formed.  The start block goes through SVQB too, so a rank-deficient one
     narrows the block instead of breaking a Cholesky factorization.  A
     column whose residual meets ``tol`` leaves the active set (soft locking:
-    it stays in ``X`` but gets no more ``W`` or ``P`` rows).  The iteration
-    stops when every column has met ``tol``, or after ``LOBPCG_MAXITER``
-    iterations, and returns ``X`` as the columns of a C-ordered block,
-    descending in ``mu``.
+    it stays in ``X`` but gets no more ``W`` or ``P`` rows).  The test is the
+    relative residual of the Rayleigh-Ritz sweeps, ``|r_i| <= tol mu_i |A
+    x_i|`` for ``A``-normalized rows, so it scales with the pair and holds
+    for the sweeps' step that follows.  The iteration stops when the first
+    ``k`` columns, the wanted ones, have met ``tol``, or after
+    ``LOBPCG_MAXITER`` iterations; the spare columns past them only widen
+    the block's gap and iterate while a wanted column does.  It returns
+    ``X`` as the columns of a C-ordered block, descending in ``mu``.
     """
     a_csr, bd, b_bb = pencil.a, pencil.boundary, pencil.b_bb
 
@@ -562,8 +550,9 @@ def _lobpcg(pencil: Pencil, start: np.ndarray, precond: Callable[[np.ndarray], n
         a_x = a_rows(x)
         r = a_x * -mu[:, None]
         r[:, bd] += (b_bb @ x[:, bd].T).T
-        active &= np.sqrt(np.einsum("ij,ij->i", r, r)) > tol
-        if not active.any():
+        a_norms = np.sqrt(np.einsum("ij,ij->i", a_x, a_x))
+        active &= np.sqrt(np.einsum("ij,ij->i", r, r)) > tol * mu * a_norms
+        if not active[:k].any():
             break
         n_w = active.sum()
         s = np.empty((n_w if p is None else 2 * n_w, x.shape[1]))

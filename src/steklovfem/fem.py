@@ -370,7 +370,7 @@ def assemble_boundary_mass(mesh: Mesh, dofmap: DofMap) -> SymSparse:
     b_tris, b_locals = mesh.boundary_edges.T
     lengths = mesh.boundary_edge_lengths()
     bary = EDGE_GAUSS_BARY[b_locals]  # (ne, 2, 3)
-    traces = _basis_at_bary(bary.reshape(-1, 3), dofmap.family).reshape(bary.shape)
+    traces = _basis_at_bary(bary, dofmap.family)
     w = lengths[:, None] * EDGE_GAUSS_WEIGHTS[None, :]
     entries = np.einsum("egp,egp->ep", w[:, :, None] * traces[:, :, _PAIR_A], traces[:, :, _PAIR_B])
     return _scatter(dofmap.cell_dofs[b_tris], entries, dofmap.n_dofs)
@@ -383,5 +383,5 @@ def evaluate_fe_many(values: np.ndarray, dofmap: DofMap,
     ``bary`` holds barycentric coordinates along its last axis; its leading
     axes broadcast against ``tris``, and the result has the broadcast shape.
     """
-    basis = _basis_at_bary(bary.reshape(-1, 3), dofmap.family).reshape(bary.shape)
+    basis = _basis_at_bary(bary, dofmap.family)
     return np.einsum("...a,...a->...", values[dofmap.cell_dofs[tris]], basis)

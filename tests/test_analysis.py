@@ -508,16 +508,20 @@ class TestComputeReference:
         assert solve_mesh_calls[0] == (kind, level, P1, 1, path, 0)
         assert [call[1] for call in solve_mesh_calls[1:]] == ([start] if start else [])
 
-    def test_square_reference_with_many_pairs_converges(self):
-        # Its factor-free solve stops at a residual of 1.3e-10; the pencil is
-        # then solved directly.
-        ref = compute_reference(DomainSpec("square"), 32, eig_index=20)
+    @pytest.mark.parametrize("level, eig_index", ((32, 20), (128, 28)))
+    def test_square_reference_with_many_pairs_converges(self, solve_mesh_calls, level,
+                                                        eig_index):
+        # LOBPCG needs 24 (level 32) and 31 (level 128) iterations here, so
+        # a cap of 20 made both fall back to a direct solve.
+        ref = compute_reference(DomainSpec("square"), level, eig_index=eig_index)
+        assert solve_mesh_calls[0][4:] == ("factor-free", 0)
         mesh, dofmap, u = ref.fn.mesh, ref.fn.dofmap, ref.fn.values
         pencil = Pencil(assemble_stiffness(mesh, dofmap), assemble_boundary_mass(mesh, dofmap))
         au = pencil.a @ u
         residual = np.linalg.norm(au - ref.lambda_h * (pencil.b @ u)) / np.linalg.norm(au)
         assert residual <= DEFAULT_TOL
-        assert ref.lambda_h == pytest.approx(solve_pencil(pencil, 20).eigenvalues[-1], rel=1e-12)
+        assert ref.lambda_h == pytest.approx(solve_pencil(pencil, eig_index).eigenvalues[-1],
+                                             rel=1e-12)
 
     def test_richardson_fit_recovers_exact_model(self):
         levels = [8, 16, 32]

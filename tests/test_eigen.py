@@ -6,7 +6,6 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from steklovfem import (
@@ -468,8 +467,10 @@ class TestSolvePencilFem:
     @pytest.mark.parametrize("path", ("direct", "multigrid"))
     def test_unreachable_tolerance_runs_the_whole_budget(self, get_mesh, get_pencil,
                                                          monkeypatch, path):
-        # Every sweep after the first makes one solve of A.
-        sweeps, run = eigen._rayleigh_ritz_sweeps, []
+        # Every sweep after the first makes one solve of A.  The multigrid
+        # path runs LOBPCG to its cap, each of its 3 rows preconditioned in
+        # every iteration, then checks the block in one sweep with no solve.
+        sweeps, run, preconditioned = eigen._rayleigh_ritz_sweeps, [], []
 
         def counted(pencil, z, k, tol, a_inv):
             def counted_inverse(rhs):
@@ -477,12 +478,23 @@ class TestSolvePencilFem:
                 return a_inv(rhs)
 
             run.append(1)
-            return sweeps(pencil, z, k, tol, counted_inverse)
+            return sweeps(pencil, z, k, tol, a_inv and counted_inverse)
 
-        pencil = get_pencil("lshape", 16, P1)
+        def counted_cycle(a_csr, prolongations):
+            cycle = vcycle(a_csr, prolongations)
+
+            def apply(r):
+                preconditioned.append(1)
+                return cycle(r)
+
+            return apply
+
+        pencil, vcycle = get_pencil("lshape", 16, P1), eigen._VCycle
         monkeypatch.setattr(eigen, "_rayleigh_ritz_sweeps", counted)
+        monkeypatch.setattr(eigen, "_VCycle", counted_cycle)
+        budget = eigen.MAX_SWEEPS if path == "direct" else 1
         with pytest.raises(ConvergenceFailureError,
-                           match=f"in {eigen.MAX_SWEEPS} sweeps") as excinfo:
+                           match=rf"in {budget} sweeps? ") as excinfo:
             if path == "direct":
                 solve_pencil(pencil, 2, tol=1e-300)
             else:
@@ -490,7 +502,9 @@ class TestSolvePencilFem:
                 start = p @ solve_pencil(get_pencil("lshape", 8, P1), 3).eigenvectors
                 run.clear()
                 eigen._multigrid_eigenpairs(pencil, [p], start, 2, tol=1e-300)
-        assert len(run) == eigen.MAX_SWEEPS == 4
+        assert len(run) == budget
+        assert len(preconditioned) == (0 if path == "direct" else 3 * eigen.LOBPCG_MAXITER)
+        assert eigen.MAX_SWEEPS == 4 and eigen.LOBPCG_MAXITER == 40
         assert np.isfinite(excinfo.value.eigenvalues).all()
         assert (excinfo.value.residuals > 1e-300).all()
 
@@ -680,22 +694,17 @@ class TestMultigridReference:
         compute_reference(DomainSpec(kind), 64)
         assert widths == [width]
 
-    def test_lobpcg_block_passes_the_first_sweep(self, monkeypatch):
-        # LOBPCG stops on its true residual, so its block needs no PCG sweep.
-        # L-shape 512 eig_index 4 needed 7 PCG calls when A P was carried by
-        # recurrence instead; every level-128 case passed that way too.
-        cg, calls = spla.cg, []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return cg(*args, **kwargs)
-
-        monkeypatch.setattr(spla, "cg", counted)
+    def test_lobpcg_block_passes_the_first_sweep(self, solve_mesh_calls):
+        # LOBPCG stops on the sweeps' own residual test, on its true residual,
+        # so the one Rayleigh-Ritz step passes and no reference falls back.
+        # L-shape 512 eig_index 4 needed 7 more solves of A when A P was
+        # carried by recurrence instead.
         cases = [(kind, 128, eig_index) for kind in ("square", "lshape", "slit")
                  for eig_index in range(1, 7)] + [("lshape", 512, 4)]
         for kind, level, eig_index in cases:
+            solve_mesh_calls.clear()
             compute_reference(DomainSpec(kind), level, eig_index)
-            assert not calls, (kind, level, eig_index)
+            assert solve_mesh_calls[0][4:] == ("factor-free", 0), (kind, level, eig_index)
 
     def test_no_factor_of_the_reference_dimension(self, monkeypatch):
         # Also, no factor outlives the solve without the cyclic collector.
@@ -751,44 +760,49 @@ class TestLobpcg:
 
     def test_matches_dense_oracle(self, problem):
         pencil, a_csr, b_csr, _, vcycle, start = problem
-        x = eigen._lobpcg(pencil, start, vcycle, 1e-12)
+        x = eigen._lobpcg(pencil, start, vcycle, 1e-12, 3)
         assert x.shape == start.shape
         gram = x.T @ (a_csr @ x)
         assert np.abs(gram - np.eye(3)).max() <= 1e-12
         lam = np.diag(gram) / np.einsum("ij,ij->j", x, b_csr @ x)
         assert lam == pytest.approx(dense_oracle(pencil, 3).eigenvalues, rel=1e-10)
 
-    def test_tolerance_takes_single_column_products(self, problem, monkeypatch):
-        # LOBPCG's tolerance needs only the start columns' A-norms, so before
-        # LOBPCG is entered A multiplies no dense block of several columns.
+    def test_tolerance_is_the_callers(self, problem, monkeypatch):
+        # LOBPCG tests the sweeps' relative residual itself, so it gets the
+        # caller's tol unscaled, and the number of wanted columns.
         pencil, _, _, prolongations, _, start = problem
-        widths = []
-
-        class Recorded(sp.csr_matrix):
-            def __matmul__(self, other):
-                if isinstance(other, np.ndarray):
-                    widths.append(1 if other.ndim == 1 else other.shape[1])
-                return super().__matmul__(other)
+        calls = []
 
         class Entered(Exception):
             pass
 
-        def entered(*args):
+        def entered(pencil, start, precond, tol, k):
+            calls.append((tol, k))
             raise Entered
 
-        recorded = copy.copy(pencil)
-        recorded.a = Recorded(pencil.a)
         monkeypatch.setattr(eigen, "_lobpcg", entered)
         with pytest.raises(Entered):
-            eigen._multigrid_eigenpairs(recorded, prolongations, start, 2, DEFAULT_TOL)
-        assert start.shape[1] == 3 and widths and max(widths) == 1
+            eigen._multigrid_eigenpairs(pencil, prolongations, start, 2, DEFAULT_TOL)
+        assert calls == [(DEFAULT_TOL, 2)]
+
+    def test_stops_on_the_wanted_columns(self, problem):
+        # With k = 1 the iteration ends once the first row meets tol, while a
+        # spare row is still above it; with k = 3 every row meets it.
+        pencil, a_csr, b_csr, _, vcycle, start = problem
+        for k in (1, 3):
+            x = eigen._lobpcg(pencil, start, vcycle, 1e-12, k)
+            ax, bx = a_csr @ x, b_csr @ x
+            mu = np.einsum("ij,ij->j", x, bx)
+            relative = np.linalg.norm(bx - ax * mu, axis=0) / (mu * np.linalg.norm(ax, axis=0))
+            assert (relative[:k] <= 1e-12).all()
+            assert (relative[k:] > 1e-12).any() == (k == 1)
 
     def test_repeated_start_column(self, problem):
         # SVQB drops the repeated direction; the Ritz block narrows to two
         # columns, and the sweeps decide the pairs.
         pencil, a_csr, b_csr, prolongations, vcycle, start = problem
         start = start[:, [0, 1, 1]]
-        assert eigen._lobpcg(pencil, start, vcycle, 1e-12).shape == (len(start), 2)
+        assert eigen._lobpcg(pencil, start, vcycle, 1e-12, 2).shape == (len(start), 2)
         sol = eigen._multigrid_eigenpairs(pencil, prolongations, start, 2, DEFAULT_TOL)
         assert (sol.residual_norms <= DEFAULT_TOL).all()
         assert sol.eigenvalues == pytest.approx(dense_oracle(pencil, 2).eigenvalues, rel=1e-10)
@@ -815,8 +829,7 @@ class TestVCycle:
         levels, matrices = [], []
         for p in prolongations:
             restriction = p.T.tocsr()
-            levels.append((a_csr, (eigen.JACOBI_DAMPING / a_csr.diagonal())[:, None], p,
-                           restriction))
+            levels.append((a_csr, eigen.JACOBI_DAMPING / a_csr.diagonal(), p, restriction))
             a_csr = (restriction @ a_csr @ p).tocsr()
             matrices.append(a_csr)
         coarsest = 0.5 * (a_csr + a_csr.T)
@@ -862,8 +875,8 @@ class TestVCycle:
         for g, w in zip(got, matrices, strict=True):
             for attr in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(g, attr), getattr(w, attr))
-        r = np.random.default_rng(5).standard_normal((a_csr.shape[0], 3))
-        assert np.array_equal(vcycle(r), apply(r))
+        for r in np.random.default_rng(5).standard_normal((3, a_csr.shape[0])):
+            assert np.array_equal(vcycle(r), apply(r))
 
     @pytest.mark.parametrize("kind", ("lshape", "slit"))
     def test_factored_matrix_is_exactly_symmetric(self, get_mesh, get_pencil, monkeypatch, kind):
@@ -891,8 +904,9 @@ def reference_sweeps(pencil, z, k, tol, a_inv):
     eigenvalues = np.full(k, np.nan)
     residuals = np.full(k, np.inf)
     x = z
+    sweeps = eigen.MAX_SWEEPS if a_inv else 1
 
-    for sweep in range(eigen.MAX_SWEEPS):
+    for sweep in range(sweeps):
         if sweep:
             z = a_inv(b_csr @ x)
         az = a_csr @ z
@@ -924,7 +938,7 @@ def reference_sweeps(pencil, z, k, tol, a_inv):
                                  residual_norms=res.copy())
 
     raise ConvergenceFailureError(
-        f"subspace iteration did not reach tol={tol:g} in {eigen.MAX_SWEEPS} sweeps "
+        f"subspace iteration did not reach tol={tol:g} in {sweeps} sweep{'s' * (sweeps > 1)} "
         f"(worst residual {residuals.max():g})", eigenvalues, residuals)
 
 
