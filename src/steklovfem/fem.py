@@ -20,6 +20,10 @@ index arrays, and one canonicalization turns them into the stored upper
 triangle.  Triangle order, and with it the order in which duplicates are
 summed, is that of the mesh, so the result does not depend on the block
 size.
+
+Dof maps, like the mesh, hold their indices as int32 (``mesh.INDEX_DTYPE``)
+and build them in int32; only the Crouzeix-Raviart edge keys, and
+``argsort``'s order, are int64 while a map is built.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import EDGE_ENDS, EDGE_STARTS, Mesh
+from .mesh import EDGE_ENDS, EDGE_STARTS, INDEX_DTYPE, Mesh
 
 __all__ = [
     "P1",
@@ -99,7 +103,7 @@ class DofMap:
     undirected edges, numbered lexicographically by sorted vertex pair, with
     values attached to edge midpoints.  ``cell_dofs[t, i]`` is the dof sitting
     opposite local vertex ``i`` of triangle ``t`` (for P1 simply vertex ``i``,
-    and the array is the mesh's own ``triangles``, not a copy).  The map
+    and the array is the mesh's own int32 ``triangles``, not a copy).  The map
     holds no geometry: a dof's location follows from the mesh through
     ``cell_dofs``.
 
@@ -107,8 +111,8 @@ class DofMap:
     ----------
     family : str
     n_dofs : int
-    cell_dofs : ndarray, shape (n_triangles, 3)
-    boundary_dofs : ndarray
+    cell_dofs : ndarray of INDEX_DTYPE, shape (n_triangles, 3)
+    boundary_dofs : ndarray of INDEX_DTYPE
         Sorted dof indices with support on the boundary.
     """
 
@@ -140,12 +144,15 @@ def build_dof_map(mesh: Mesh, family: str) -> DofMap:
         )
 
     nv = mesh.n_vertices
+    # The edge key min * nv + max is int64: nv**2 passes the int32 range from
+    # about level 215, and a wrapped key still counts the edges right but no
+    # longer numbers them in lexicographic order.
     # Each spent temporary is freed at once: glibc keeps freed heap resident,
     # and freeing them only on return left 24 MB more of it after the slit
     # level-512 map (assemble benchmark peak 284 MB against 272 MB).
     heads = tris[:, EDGE_STARTS].ravel()
     tails = tris[:, EDGE_ENDS].ravel()
-    keys = np.minimum(heads, tails)
+    keys = np.minimum(heads, tails, dtype=np.int64)
     keys *= nv
     keys += np.maximum(heads, tails)
     del heads, tails
@@ -158,9 +165,9 @@ def build_dof_map(mesh: Mesh, family: str) -> DofMap:
     first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     del keys
-    numbers = np.cumsum(first)
+    numbers = np.cumsum(first, dtype=INDEX_DTYPE)
     numbers -= 1
-    cell_dofs = np.empty_like(order)
+    cell_dofs = np.empty(len(order), dtype=INDEX_DTYPE)
     cell_dofs[order] = numbers
     n_dofs = int(numbers[-1]) + 1
     del first, order, numbers

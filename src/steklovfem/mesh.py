@@ -26,6 +26,7 @@ __all__ = [
     "Refinement",
     "InvalidLevelError",
     "NestingError",
+    "INDEX_DTYPE",
     "LOCAL_EDGES",
     "generate_mesh",
     "ancestor_map",
@@ -35,6 +36,12 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
+
+# The dtype of every index array of the mesh and dof-map layers: vertex,
+# triangle and dof numbers.  ``_validate_level`` refuses the levels whose
+# Crouzeix-Raviart edges it cannot number.  Each array is built in it from
+# the start: an int64 array cast down afterwards leaves its freed heap resident.
+INDEX_DTYPE = np.int32
 
 # Local edge i is the edge opposite local vertex i, directed so that a CCW
 # walk of the triangle traverses (v1,v2), (v2,v0), (v0,v1).
@@ -115,9 +122,9 @@ class Mesh:
         Grid subdivisions per unit length; ``h = sqrt(2)/level``.
     vertices : ndarray, shape (n_vertices, 2)
         Coordinates.  Slit duplicates come after all grid originals.
-    triangles : ndarray, shape (n_triangles, 3)
+    triangles : ndarray of INDEX_DTYPE (int32), shape (n_triangles, 3)
         Vertex indices, counterclockwise.
-    boundary_edges : ndarray, shape (n_boundary_edges, 2)
+    boundary_edges : ndarray of INDEX_DTYPE (int32), shape (n_boundary_edges, 2)
         Rows ``(triangle, local_edge)`` in the order of one closed walk from
         ``(0, 0)`` with the domain on the left, along both sides of the slit.
         The walk is a table of straight runs of grid squares, and a run at
@@ -170,11 +177,18 @@ class Mesh:
 def _validate_level(domain: DomainSpec, level: int) -> None:
     if not isinstance(level, (int, np.integer)) or isinstance(level, bool):
         raise InvalidLevelError(f"level must be an integer, got {level!r}")
+    level = int(level)
     if level < 2:
         raise InvalidLevelError(f"level must be at least 2, got {level}")
     if domain.corner is not None and level % 2:
         raise InvalidLevelError(
             f"{domain.kind} requires an even level so the corner sits on the grid, got {level}"
+        )
+    # A mesh has fewer than 3 * level * (level + 1) undirected edges, the
+    # Crouzeix-Raviart dofs, and INDEX_DTYPE must number them all.
+    if 3 * level * (level + 1) > np.iinfo(INDEX_DTYPE).max:
+        raise InvalidLevelError(
+            f"level {level} has more edges than {np.dtype(INDEX_DTYPE).name} indices can number"
         )
 
 
@@ -205,7 +219,7 @@ def generate_mesh(domain: DomainSpec, level: int) -> Mesh:
     # Vertex ids number the present grid points row by row (absent points
     # are never read).
     present, (sq_j, sq_i) = _grid(domain, n)
-    vid = np.cumsum(present).reshape(n + 1, n + 1) - 1
+    vid = np.cumsum(present, dtype=INDEX_DTYPE).reshape(n + 1, n + 1) - 1
     vertices = np.column_stack(np.nonzero(present)[::-1]) / n
     n_orig = len(vertices)
 
@@ -220,7 +234,7 @@ def generate_mesh(domain: DomainSpec, level: int) -> Mesh:
         slit_side = np.concatenate([slit_side, np.ones(len(lower), dtype=np.int8)])
         slit_side[lower] = -1
         below = vid.copy()
-        below[half, half + 1:] = n_orig + np.arange(len(lower))
+        below[half, half + 1:] = np.arange(n_orig, n_orig + len(lower), dtype=INDEX_DTYPE)
 
     ll, lr = below[sq_j, sq_i], below[sq_j, sq_i + 1]
     ur, ul = vid[sq_j + 1, sq_i + 1], vid[sq_j + 1, sq_i]
@@ -252,8 +266,8 @@ def _square_to_tri(squares: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray
     ``(n, n, 2)``, given the present ``squares`` of :func:`_grid`; ``-1``
     where the square lies outside the domain."""
     sq_j, sq_i = squares
-    table = np.full((n, n, 2), -1, dtype=np.int64)
-    table[sq_i, sq_j] = np.arange(2 * len(sq_i)).reshape(-1, 2)
+    table = np.full((n, n, 2), -1, dtype=INDEX_DTYPE)
+    table[sq_i, sq_j] = np.arange(2 * len(sq_i), dtype=INDEX_DTYPE).reshape(-1, 2)
     return table
 
 
@@ -299,7 +313,7 @@ def _check_nesting(coarse: Mesh, fine: Mesh) -> int:
 
 def _grid_points(mesh: Mesh, ids=slice(None)) -> np.ndarray:
     """Integer grid coordinates ``(i, j)`` of the given vertices, one row each."""
-    return np.rint(mesh.vertices[ids] * mesh.level).astype(np.int64)
+    return np.rint(mesh.vertices[ids] * mesh.level).astype(INDEX_DTYPE)
 
 
 def ancestor_map(coarse: Mesh, fine: Mesh) -> np.ndarray:
@@ -335,7 +349,7 @@ def ancestor_map(coarse: Mesh, fine: Mesh) -> np.ndarray:
     # Sub-squares on the coarse diagonal (a == b) keep the fine orientation,
     # odd triangles being upper; the off-diagonal sub-squares lie wholly in
     # one coarse triangle.
-    upper = np.where(a == b, np.arange(fine.n_triangles) % 2, b > a)
+    upper = np.where(a == b, np.arange(fine.n_triangles, dtype=INDEX_DTYPE) % 2, b > a)
     ancestor = _square_to_tri(_grid(coarse.domain, coarse.level)[1], coarse.level)[ci, cj, upper]
     if (ancestor < 0).any():
         raise RuntimeError("a fine triangle falls outside the coarse mesh")
@@ -365,8 +379,8 @@ def _prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
     ((85, 27), 2)
     """
     r = _check_nesting(coarse, fine)
-    owner = np.empty(fine.n_vertices, dtype=np.int64)
-    owner[fine.triangles.ravel()] = np.repeat(np.arange(fine.n_triangles), 3)
+    owner = np.empty(fine.n_vertices, dtype=INDEX_DTYPE)
+    owner[fine.triangles.ravel()] = np.repeat(np.arange(fine.n_triangles, dtype=INDEX_DTYPE), 3)
     tris = ancestor_map(coarse, fine)[owner]
     a, b = (_grid_points(fine) - r * _grid_points(coarse, coarse.triangles[tris, 0])).T
     # Odd coarse triangles are upper.  Integer numerators divided by r, not

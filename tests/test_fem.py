@@ -29,7 +29,7 @@ from steklovfem.fem import (
     _scatter,
     evaluate_fe_many,
 )
-from steklovfem.mesh import LOCAL_EDGES
+from steklovfem.mesh import INDEX_DTYPE, LOCAL_EDGES, DomainSpec, _prolongation, generate_mesh
 
 from _utils import dof_points, reference_triangle_mesh, retained_bytes, sym_sparse
 
@@ -41,6 +41,15 @@ MULTI_BLOCK_LEVEL = 150
 P1_STIFFNESS = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
 P1_MASS = (0.5 / 12.0) * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
 AFFINE_COEFFICIENTS = CoefficientField(alpha=affine(1.0, 0.5, 0.25), beta=affine(2.0, -0.5, 0.5))
+
+
+def lexicographic_edge_numbers(mesh):
+    """Oracle: each triangle's edges numbered by rank of their sorted vertex
+    pair, keyed in int64 so that no key wraps however many vertices there are."""
+    tris = mesh.triangles.astype(np.int64)
+    heads, tails = tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]
+    keys = np.minimum(heads, tails) * mesh.n_vertices + np.maximum(heads, tails)
+    return np.searchsorted(np.unique(keys), keys)
 
 
 def alpha_part(mesh, dofmap):
@@ -226,12 +235,29 @@ class TestDofMap:
     def test_cr_edges_numbered_lexicographically(self, get_mesh, get_dofmap, kind, level):
         mesh = get_mesh(kind, level)
         dm = get_dofmap(kind, level, CR)
-        tris = mesh.triangles
-        heads, tails = tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]
-        keys = np.minimum(heads, tails) * mesh.n_vertices + np.maximum(heads, tails)
-        expected = np.searchsorted(np.unique(keys), keys)
-        assert dm.cell_dofs.dtype == expected.dtype
+        assert dm.cell_dofs.dtype == INDEX_DTYPE
+        assert np.array_equal(dm.cell_dofs, lexicographic_edge_numbers(mesh))
+
+    @pytest.mark.parametrize("kind", ("square", "slit"))
+    def test_cr_edges_numbered_lexicographically_past_int32_keys(self, kind):
+        # Edge keys min * n_vertices + max leave the int32 range here; a
+        # wrapped key would still give the right n_dofs.
+        mesh = generate_mesh(DomainSpec(kind), 256)
+        assert mesh.n_vertices ** 2 > 2 ** 31
+        dm = build_dof_map(mesh, CR)
+        expected = lexicographic_edge_numbers(mesh)
+        assert dm.n_dofs == int(expected.max()) + 1
         assert np.array_equal(dm.cell_dofs, expected)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("family", (P1, CR))
+    def test_index_arrays_are_int32(self, get_mesh, get_dofmap, kind, family):
+        mesh, dm = get_mesh(kind, 8), get_dofmap(kind, 8, family)
+        prolongation = _prolongation(get_mesh(kind, 4), mesh)
+        assert INDEX_DTYPE == np.int32
+        for array in (mesh.triangles, mesh.boundary_edges, dm.cell_dofs, dm.boundary_dofs,
+                      prolongation.indices):
+            assert array.dtype == INDEX_DTYPE
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_p1_map_shares_the_mesh_arrays(self, get_mesh, get_dofmap, kind):

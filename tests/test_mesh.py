@@ -14,8 +14,8 @@ from steklovfem import (
     refine,
     write_mesh,
 )
-from steklovfem.mesh import (EDGE_ENDS, EDGE_STARTS, LOCAL_EDGES, _grid, _square_to_tri,
-                             edge_slit_sides)
+from steklovfem.mesh import (EDGE_ENDS, EDGE_STARTS, INDEX_DTYPE, LOCAL_EDGES, _grid,
+                             _square_to_tri, _validate_level, edge_slit_sides)
 
 KINDS = ("square", "lshape", "slit")
 SQRT2 = math.sqrt(2.0)
@@ -144,6 +144,17 @@ class TestLevelValidation:
         with pytest.raises(InvalidLevelError):
             generate_mesh(DomainSpec("square"), 2.5)
 
+    @pytest.mark.parametrize("kind,refused", [("square", 26755), ("lshape", 26756), ("slit", 26756)])
+    @pytest.mark.parametrize("level_type", (int, np.int32, np.int64))
+    def test_level_past_the_index_range_rejected(self, kind, refused, level_type):
+        # Checked through the validator alone: a mesh at either level would
+        # take about 100 GB.  Level 26754 has fewer than 3 * 26754 * 26755 =
+        # 2147409270 edges, within int32; the next valid level is refused.
+        assert INDEX_DTYPE == np.int32
+        _validate_level(DomainSpec(kind), level_type(26754))
+        with pytest.raises(InvalidLevelError, match="int32"):
+            _validate_level(DomainSpec(kind), level_type(refused))
+
 
 class TestGeometryInvariants:
     @pytest.mark.parametrize("kind", KINDS)
@@ -230,9 +241,9 @@ class TestBoundaryChain:
     def test_matches_dictionary_chain_oracle(self, kind, level):
         m = generate_mesh(DomainSpec(kind), level)
         want = dictionary_chain_boundary(m)
-        assert m.boundary_edges.dtype == want.dtype
+        assert m.boundary_edges.dtype == INDEX_DTYPE
         assert m.boundary_edges.shape == want.shape
-        assert m.boundary_edges.tobytes() == want.tobytes()
+        assert np.array_equal(m.boundary_edges, want)
 
     def test_slit_walked_once_per_side(self, get_mesh):
         m = get_mesh("slit", 4)
@@ -394,7 +405,7 @@ class TestStorageOrder:
         # read off the triangles' centroids, absent squares included.
         table = _square_to_tri(_grid(DomainSpec(kind), level)[1], level)
         want = square_table(get_mesh(kind, level))
-        assert table.dtype == want.dtype
+        assert table.dtype == INDEX_DTYPE
         assert np.array_equal(table, want)
 
     def test_mesh_retains_only_its_arrays(self):
